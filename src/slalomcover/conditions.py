@@ -5,14 +5,16 @@ A normed tree of depth N stores an explicit prefix-closed set of nodes
 the n-th split along its branch must have a successor set of norm >= n,
 where the norm at level k is the largest m with g(k)*h(k)**m <= size.
 A product condition is a finite family of such trees (one per coordinate)
-of common depth.  All values are immutable; every operation returns a new
-condition and recomputes split bookkeeping from scratch.
+of common depth.  All values are immutable and every operation returns a new
+condition.  Each tree builds one child index (node -> sorted successors) on
+first use, and every successor, split and norm query reads it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationFailure
 from .norms import NormSpec, norm_value
@@ -32,36 +34,39 @@ class NormedTree:
     def __post_init__(self):
         object.__setattr__(self, "nodes", frozenset(tuple(n) for n in self.nodes))
 
+    @cached_property
+    def _children(self) -> dict:
+        """Each parent tuple -> its sorted successors, built once per tree."""
+        kids = {}
+        for n in self.nodes:
+            if n:
+                kids.setdefault(n[:-1], []).append(n)
+        return {parent: tuple(sorted(s)) for parent, s in kids.items()}
+
     def succ(self, node) -> list:
-        k = len(node)
-        return sorted(n for n in self.nodes
-                      if len(n) == k + 1 and n[:k] == node)
+        return list(self._children.get(node, ()))
 
     def level_nodes(self, k: int) -> list:
         return sorted(n for n in self.nodes if len(n) == k)
 
     def split_nodes(self) -> list:
-        return sorted((n for n in self.nodes
-                       if len(n) < self.depth and len(self.succ(n)) > 1),
+        return sorted((n for n, s in self._children.items()
+                       if len(s) > 1 and len(n) < self.depth and n in self.nodes),
                       key=lambda n: (len(n), n))
 
     def split_index(self, node) -> int:
         """Number of splitting proper prefixes of node (its per-branch index)."""
-        count = 0
-        for j in range(len(node)):
-            if len(self.succ(node[:j])) > 1:
-                count += 1
-        return count
+        return sum(len(self._children.get(node[:j], ())) > 1
+                   for j in range(len(node)))
 
     def node_norm(self, node) -> int:
-        return norm_value(_norm_spec(self.triple), len(node), len(self.succ(node)))
+        return norm_value(_norm_spec(self.triple), len(node),
+                          len(self._children.get(node, ())))
 
     def stem(self):
         """The first splitting node; for a split-free tree, the deepest node."""
         splits = self.split_nodes()
-        if splits:
-            return splits[0]
-        return max(self.nodes, key=len)
+        return splits[0] if splits else max(self.nodes, key=len)
 
     def violations(self) -> list:
         out = []
@@ -77,7 +82,7 @@ class NormedTree:
                     out.append((str(n), f"value {v} at level {i} not below f={self.triple.f(i)}"))
         for n in self.nodes:
             if len(n) < self.depth:
-                s = self.succ(n)
+                s = self._children.get(n, ())
                 if not s:
                     out.append((str(n), "no successor"))
                 elif len(s) > 1:
@@ -121,6 +126,8 @@ class ProductCondition:
     def __post_init__(self):
         items = tuple(sorted(dict(self.trees).items()))
         object.__setattr__(self, "trees", items)
+        if not items:
+            raise ValidationFailure([("coords", "a condition needs at least one tree")])
         depths = {t.depth for _, t in items}
         if len(depths) > 1:
             raise ValidationFailure([("depth", f"trees of different depths {sorted(depths)}")])
@@ -133,8 +140,12 @@ class ProductCondition:
     def coords(self) -> tuple:
         return tuple(c for c, _ in self.trees)
 
+    @cached_property
+    def _by_coord(self) -> dict:
+        return dict(self.trees)
+
     def __getitem__(self, coord) -> NormedTree:
-        return dict(self.trees)[coord]
+        return self._by_coord[coord]
 
     def replace(self, coord, tree: NormedTree) -> "ProductCondition":
         return ProductCondition(tuple((c, tree if c == coord else t)
@@ -154,9 +165,6 @@ class LevelView:
     def __len__(self):
         return len(self.tuples)
 
-    def as_dicts(self):
-        return [dict(zip(self.coords, t)) for t in self.tuples]
-
 
 def validate_condition(p: ProductCondition):
     """(ok, violations) across all coordinates."""
@@ -172,8 +180,7 @@ def level(p: ProductCondition, k: int) -> LevelView:
         raise ValidationFailure([("level", f"{k} > depth {p.depth}")])
     per_coord = [tree.level_nodes(k) for _, tree in p.trees]
     tuples = tuple(itertools.product(*per_coord))
-    active = tuple(c for c, tree in p.trees if len(tree.stem()) <= k)
-    return LevelView(k, p.coords, tuples, active)
+    return LevelView(k, p.coords, tuples, active_set(p, k))
 
 
 def active_set(p: ProductCondition, k: int) -> tuple:
@@ -235,11 +242,7 @@ def prune(p: ProductCondition, l: int, nu_star) -> ProductCondition:
     nu_star = tuple(nu_star)
     if nu_star not in p[coord].succ(eta):
         raise ValidationFailure([("nu*", f"{nu_star} not a successor of {eta}")])
-    tree = p[coord]
-    keep = frozenset(n for n in tree.nodes
-                     if not (len(n) > len(eta) and n[:len(eta)] == eta)
-                     or n[:len(nu_star)] == nu_star)
-    return p.replace(coord, NormedTree(tree.depth, tree.triple, keep))
+    return p.replace(coord, p[coord].restrict_succ(eta, [nu_star]))
 
 
 def leq_k(p: ProductCondition, q: ProductCondition, k: int) -> bool:

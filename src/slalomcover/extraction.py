@@ -7,13 +7,16 @@ successor sets, top split first, so that every tuple at a splitting level k
 decides the name up to k; extraction then reads off, level by level, value
 sets of size below the target bound that cover the name on every branch,
 thinning once more where the completeness chain of the hard case demands it.
-Everything is re-verified by exhaustive branch enumeration.
+Decisions are read from a prefix index: one pass over the full branches maps
+every tuple of a level to the set of name prefixes above it.  The extracted
+cover is re-verified by exhaustive branch enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .conditions import (ProductCondition, is_normal_form, level,
                          splitting_levels, validate_condition)
@@ -50,11 +53,16 @@ class FiniteName:
         if bad:
             raise ValidationFailure(bad)
 
+    @cached_property
+    def _by_branch(self) -> dict:
+        return dict(self.labels)
+
     def label(self, branch) -> tuple:
-        return dict(self.labels)[tuple(branch)]
+        return self._by_branch[tuple(branch)]
 
     def value_map(self) -> dict:
-        return dict(self.labels)
+        """Branch tuple -> values; built once and shared, so read only."""
+        return self._by_branch
 
 
 def restrict_name(tau: FiniteName, q: ProductCondition) -> FiniteName:
@@ -62,30 +70,6 @@ def restrict_name(tau: FiniteName, q: ProductCondition) -> FiniteName:
     keep = set(level(q, q.depth).tuples)
     labels = tuple((br, v) for br, v in tau.labels if br in keep)
     return FiniteName(q, labels, tau.bound)
-
-
-def _branches_above(p: ProductCondition, eta_bar) -> list:
-    """Full branch tuples of p extending the given level tuple."""
-    m = len(eta_bar[0])
-    out = []
-    for br in level(p, p.depth).tuples:
-        if all(node[:m] == pref for node, pref in zip(br, eta_bar)):
-            out.append(br)
-    return out
-
-
-def decides(p: ProductCondition, eta_bar, tau: FiniteName, k: int):
-    """The common value of tau|k over all branches above eta_bar, or None."""
-    eta_bar = tuple(tuple(n) for n in eta_bar)
-    labels = tau.value_map()
-    seen = None
-    for br in _branches_above(p, eta_bar):
-        v = labels[br][:k]
-        if seen is None:
-            seen = v
-        elif v != seen:
-            return None
-    return seen
 
 
 def _unique_extension(p: ProductCondition, eta_bar, split_coord, split_node, nu):
@@ -96,8 +80,7 @@ def _unique_extension(p: ProductCondition, eta_bar, split_coord, split_node, nu)
         if c == split_coord and node == split_node:
             out.append(tuple(nu))
         else:
-            s = tree.succ(node)
-            out.append(s[0])
+            out.append(tree.succ(node)[0])
     return tuple(out)
 
 
@@ -112,6 +95,41 @@ def _prefix_index(q: ProductCondition, tau: FiniteName, k: int, upto: int) -> di
         key = tuple(node[:k] for node in br)
         idx.setdefault(key, set()).add(labels[br][:upto])
     return idx
+
+
+def decides(p: ProductCondition, eta_bar, tau: FiniteName, k: int):
+    """The common value of tau|k over all branches above eta_bar, or None."""
+    eta_bar = tuple(tuple(n) for n in eta_bar)
+    vals = _prefix_index(p, tau, len(eta_bar[0]), k).get(eta_bar, ())
+    return next(iter(vals)) if len(vals) == 1 else None
+
+
+def _decided_values(q: ProductCondition, tau: FiniteName, m: int, k: int,
+                    where: str) -> dict:
+    """Map each level-m tuple of q to the value tau(k) decided above it; a
+    tuple whose branches disagree on tau|k+1 fails, naming where."""
+    idx = _prefix_index(q, tau, m, k + 1)
+    out = {}
+    for eta_bar in level(q, m).tuples:
+        dec = idx[eta_bar]
+        if len(dec) != 1:
+            raise ValidationFailure([(f"k={k}", where)])
+        out[eta_bar] = next(iter(dec))[k]
+    return out
+
+
+def _successor_classes(q: ProductCondition, idx: dict, eta_bar, c, n, succs):
+    """Group succs, the successors of the split (c, n), by the value idx
+    decides above their extensions of eta_bar: the sorted values and their
+    successor sets, or None if an extension is undecided."""
+    classes = {}
+    for nu in succs:
+        dec = idx[_unique_extension(q, eta_bar, c, n, nu)]
+        if len(dec) != 1:
+            return None
+        classes.setdefault(next(iter(dec)), []).append(nu)
+    values = sorted(classes)
+    return values, [frozenset(classes[v]) for v in values]
 
 
 def densify_decide(p: ProductCondition, tau: FiniteName) -> ProductCondition:
@@ -129,27 +147,20 @@ def densify_decide(p: ProductCondition, tau: FiniteName) -> ProductCondition:
         if n not in q[c].nodes:
             continue
         tree = q[c]
-        succs = tree.succ(n)
-        if len(succs) <= 1:
+        F = tree.succ(n)
+        if len(F) <= 1:
             continue
         spec = NormSpec(tree.triple.g.values, tree.triple.h.values)
         idx = _prefix_index(q, tau, k + 1, k)
-        F = list(succs)
         for eta_bar in level(q, k).tuples:
-            classes = {}
-            for nu in F:
-                ext = _unique_extension(q, eta_bar, c, n, nu)
-                vals = idx[ext]
-                if len(vals) != 1:
-                    raise AssertionError(
-                        f"level-{k + 1} tuple fails to decide the prefix; "
-                        "processing order invariant broken")
-                classes.setdefault(next(iter(vals)), []).append(nu)
-            if len(classes) <= 1:
-                continue
-            pieces = [frozenset(classes[v]) for v in sorted(classes)]
-            idx = cd_select(spec, k, pieces, 1)[0]
-            F = sorted(pieces[idx])
+            found = _successor_classes(q, idx, eta_bar, c, n, F)
+            if found is None:
+                raise AssertionError(
+                    f"level-{k + 1} tuple fails to decide the prefix; "
+                    "processing order invariant broken")
+            _, pieces = found
+            if len(pieces) > 1:
+                F = sorted(pieces[cd_select(spec, k, pieces, 1)[0]])
         q = q.replace(c, tree.restrict_succ(n, F))
     ok, viol = validate_condition(q)
     if not ok:
@@ -157,22 +168,23 @@ def densify_decide(p: ProductCondition, tau: FiniteName) -> ProductCondition:
     return q
 
 
+def _splits_decided(q: ProductCondition, tau: FiniteName, offset: int) -> bool:
+    """Every tuple at level k+offset of each splitting level k decides tau|k."""
+    for k, _, _ in splitting_levels(q):
+        idx = _prefix_index(q, tau, k + offset, k)
+        if any(len(idx.get(t, ())) != 1 for t in level(q, k + offset).tuples):
+            return False
+    return True
+
+
 def property_V(q: ProductCondition, tau: FiniteName) -> bool:
     """Every tuple at a splitting level k decides tau|k."""
-    for k, _, _ in splitting_levels(q):
-        for eta_bar in level(q, k).tuples:
-            if decides(q, eta_bar, tau, k) is None:
-                return False
-    return True
+    return _splits_decided(q, tau, 0)
 
 
 def property_III(q: ProductCondition, tau: FiniteName) -> bool:
     """Every tuple at level k+1 of a splitting level k decides tau|k."""
-    for k, _, _ in splitting_levels(q):
-        for eta_bar in level(q, k + 1).tuples:
-            if decides(q, eta_bar, tau, k) is None:
-                return False
-    return True
+    return _splits_decided(q, tau, 1)
 
 
 def check_smalllevel(p: ProductCondition):
@@ -236,15 +248,16 @@ class ExtractedCover:
     plain: tuple   # tuple of (k, frozenset or None) -- None where fibered
     fibers: tuple  # tuple of (k, tuple of (A-part, frozenset))
 
+    @cached_property
+    def _by_level(self) -> tuple:
+        return dict(self.plain), {k: dict(fib) for k, fib in self.fibers}
+
     def set_for(self, k: int, a_part=None):
-        d = dict(self.plain)
-        if d.get(k) is not None:
-            return d[k]
-        fib = dict(dict(self.fibers)[k])
-        return fib[a_part]
+        plain, fibers = self._by_level
+        return plain[k] if plain.get(k) is not None else fibers[k][a_part]
 
     def level_kind(self, k: int) -> str:
-        return "plain" if dict(self.plain).get(k) is not None else "fiber"
+        return "plain" if self._by_level[0].get(k) is not None else "fiber"
 
 
 def _a_part(coords, A, tuple_at_level):
@@ -273,15 +286,9 @@ def extract_slalom(q: ProductCondition, tau: FiniteName, A, xi_triple: Triple):
             if not len(lv) < g_here:
                 raise ValidationFailure(
                     [(f"k={k}", f"level size {len(lv)} not below g={g_here} (plain case)")])
-            idx = _prefix_index(q, tau, k, k + 1)
-            vals = set()
-            for eta_bar in lv.tuples:
-                dec = idx[eta_bar]
-                if len(dec) != 1:
-                    raise ValidationFailure(
-                        [(f"k={k}", "tuple fails to decide the value (densify first)")])
-                vals.add(next(iter(dec))[k])
-            plain.append((k, frozenset(vals)))
+            vals = _decided_values(q, tau, k, k,
+                                   "tuple fails to decide the value (densify first)")
+            plain.append((k, frozenset(vals.values())))
             fibers.append((k, ()))
             continue
 
@@ -291,13 +298,10 @@ def extract_slalom(q: ProductCondition, tau: FiniteName, A, xi_triple: Triple):
 
         if c in A:
             # Case 1: index the decided values by the A-part of the branch
-            idx = _prefix_index(q, tau, k + 1, k + 1)
             fib = {}
-            for eta_bar in level(q, k + 1).tuples:
-                dec = idx[eta_bar]
-                if len(dec) != 1:
-                    raise ValidationFailure([(f"k={k}", "undecided tuple in case 1")])
-                fib.setdefault(_a_part(q.coords, A, eta_bar), set()).add(next(iter(dec))[k])
+            decided = _decided_values(q, tau, k + 1, k, "undecided tuple in case 1")
+            for eta_bar, v in decided.items():
+                fib.setdefault(_a_part(q.coords, A, eta_bar), set()).add(v)
             for key, vals in fib.items():
                 if len(vals) > lv_size or not lv_size < g_here:
                     raise ValidationFailure(
@@ -308,13 +312,7 @@ def extract_slalom(q: ProductCondition, tau: FiniteName, A, xi_triple: Triple):
 
         if zeta.f(k) * lv_size <= g_here:
             # Case 2: the whole next level is already small enough
-            idx = _prefix_index(q, tau, k + 1, k + 1)
-            vals = set()
-            for eta_bar in level(q, k + 1).tuples:
-                dec = idx[eta_bar]
-                if len(dec) != 1:
-                    raise ValidationFailure([(f"k={k}", "undecided tuple in case 2")])
-                vals.add(next(iter(dec))[k])
+            vals = set(_decided_values(q, tau, k + 1, k, "undecided tuple in case 2").values())
             if len(vals) > g_here:
                 raise ValidationFailure(
                     [(f"k={k}", f"case 2 bound failed: {len(vals)} > g={g_here}")])
@@ -333,19 +331,16 @@ def extract_slalom(q: ProductCondition, tau: FiniteName, A, xi_triple: Triple):
         spec = NormSpec(zeta.g.values, zeta.h.values)
         tree = q[c]
         idx = _prefix_index(q, tau, k + 1, k + 1)
-        L = list(tree.succ(n))
+        L = tree.succ(n)
         B_k = set()
         for eta_bar in level(q, k).tuples:
-            classes = {}
-            for nu in L:
-                ext = _unique_extension(q, eta_bar, c, n, nu)
-                dec = idx[ext]
-                if len(dec) != 1:
-                    raise ValidationFailure([(f"k={k}", "undecided tuple in case 3")])
-                classes.setdefault(next(iter(dec))[k], []).append(nu)
-            pieces = [frozenset(classes[v]) for v in sorted(classes)]
+            found = _successor_classes(q, idx, eta_bar, c, n, L)
+            if found is None:
+                raise ValidationFailure([(f"k={k}", "undecided tuple in case 3")])
+            values, pieces = found
             chosen = cd_select(spec, k, pieces, d_param)
-            B_k.update(sorted(classes)[i] for i in chosen)
+            # every level-k tuple decides tau|k here, so tau|k+1 varies only at k
+            B_k.update(values[i][k] for i in chosen)
             L = sorted(frozenset().union(*(pieces[i] for i in chosen)))
         if len(B_k) > g_here:
             raise ValidationFailure(

@@ -185,11 +185,10 @@ def make_thinning_spendthrift(F=None):
         eta = tuple(acc.eta)
         spec_g, spec_h = tree.triple.g.values, tree.triple.h.values
         target = None
-        for n in sorted(tree.nodes, key=lambda x: (len(x), x)):
+        # F only shrinks successor sets, so every candidate is a split node
+        for n in tree.split_nodes():
             # rule (4): nu must properly extend the accountant's node
             if len(n) <= len(eta) or n[:len(eta)] != eta:
-                continue
-            if len(n) >= tree.depth:
                 continue
             cand = allowed_succ(tree, acc.alpha, n)
             if len(cand) <= 1:
@@ -201,9 +200,8 @@ def make_thinning_spendthrift(F=None):
         if target is None:
             return None
         nu, cand = target
-        prefer = {(c, tuple(n)): v for (c, n), v in F.items()}
         q = _linearize_between(p, state.level, len(nu),
-                               keep_paths={acc.alpha: nu}, prefer=prefer)
+                               keep_paths={acc.alpha: nu}, prefer=F)
         q = q.replace(acc.alpha, q[acc.alpha].restrict_succ(nu, cand))
         return SpendthriftMove(q, nu)
 

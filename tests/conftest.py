@@ -11,6 +11,7 @@ import pytest
 
 from slalomcover.conditions import NormedTree, ProductCondition, level, linear_tree
 from slalomcover.extraction import FiniteName
+from slalomcover.norms import NormSpec, norm_value
 from slalomcover.scales import BoundFn, validate_scale, validate_triple
 
 
@@ -45,6 +46,81 @@ def condition_c_oracle(T):
             if count > T.gp(i):
                 return False, (i, u)
     return True, None
+
+
+# The full-scan tree and decision queries that the child index and the
+# prefix index replaced: each re-scans every node or branch per call.
+
+def naive_succ(tree, node):
+    k = len(node)
+    return sorted(n for n in tree.nodes if len(n) == k + 1 and n[:k] == node)
+
+
+def naive_split_nodes(tree):
+    return sorted((n for n in tree.nodes
+                   if len(n) < tree.depth and len(naive_succ(tree, n)) > 1),
+                  key=lambda n: (len(n), n))
+
+
+def naive_split_index(tree, node):
+    return sum(1 for j in range(len(node)) if len(naive_succ(tree, node[:j])) > 1)
+
+
+def naive_node_norm(tree, node):
+    spec = NormSpec(tree.triple.g.values, tree.triple.h.values)
+    return norm_value(spec, len(node), len(naive_succ(tree, node)))
+
+
+def naive_stem(tree):
+    splits = naive_split_nodes(tree)
+    return splits[0] if splits else max(tree.nodes, key=len)
+
+
+def naive_violations(tree):
+    out = []
+    if () not in tree.nodes:
+        out.append(("root", "missing"))
+    for n in tree.nodes:
+        if len(n) > tree.depth:
+            out.append((str(n), f"deeper than {tree.depth}"))
+        if n and n[:-1] not in tree.nodes:
+            out.append((str(n), "prefix missing"))
+        for i, v in enumerate(n):
+            if v < 0 or v >= tree.triple.f(i):
+                out.append((str(n), f"value {v} at level {i} not below f={tree.triple.f(i)}"))
+    for n in tree.nodes:
+        if len(n) < tree.depth:
+            s = naive_succ(tree, n)
+            if not s:
+                out.append((str(n), "no successor"))
+            elif len(s) > 1:
+                idx = naive_split_index(tree, n)
+                nv = naive_node_norm(tree, n)
+                if nv < idx:
+                    out.append((str(n), f"split norm {nv} < split index {idx}"))
+    return out
+
+
+def naive_decides(p, eta_bar, tau, k):
+    """The common tau|k over the full branches extending eta_bar, or None."""
+    m = len(eta_bar[0])
+    labels = dict(tau.labels)
+    seen = None
+    for br in level(p, p.depth).tuples:
+        if all(node[:m] == pref for node, pref in zip(br, eta_bar)):
+            v = labels[br][:k]
+            if seen is None:
+                seen = v
+            elif v != seen:
+                return None
+    return seen
+
+
+def naive_splits_decided(q, tau, offset):
+    """Property V (offset 0) or III (offset 1), one tuple at a time."""
+    levels = sorted(len(n) for _, tree in q.trees for n in naive_split_nodes(tree))
+    return all(naive_decides(q, eta_bar, tau, k) is not None
+               for k in levels for eta_bar in level(q, k + offset).tuples)
 
 
 # ----------------------------------------------------------- toy scales

@@ -74,6 +74,19 @@ def test_missing_input_file_exits_two():
     assert code == 2
 
 
+@pytest.mark.parametrize("action", ["validate", "normalize", "show-levels"])
+def test_condition_without_trees_is_rejected(tmp_path, action):
+    cond_path = tmp_path / "empty.json"
+    cond_path.write_text(json.dumps({"coords": {}}))
+    proc = subprocess.run([sys.executable, "-m", "slalomcover.cli", "condition",
+                           action, "--in", str(cond_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    (line,) = parse_lines(proc.stdout)
+    assert line["error"] == "ValidationFailure"
+    assert proc.stderr == ""
+
+
 def test_scale_subcommand_reports_violations():
     code, out = run_cli("scale", "--lo", "2,5", "--hi", "3,7")
     assert code == 1

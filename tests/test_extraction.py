@@ -65,6 +65,22 @@ def test_densify_groups_successors_by_decided_prefix(game_condition):
     assert len({s[1] % 3 for s in succ}) == 1
 
 
+def test_densify_keeps_the_prefix_index_across_level_tuples(game_triple):
+    # a root split puts three tuples at the splitting level 1; only the
+    # first of them, above (0,), has successors of different classes
+    nodes = {(), (0,), (1,), (2,), (1, 0), (2, 0)}
+    nodes.update((0, j) for j in range(2401))
+    p = ProductCondition((("a", NormedTree(2, game_triple, frozenset(nodes))),
+                          ("b", linear_tree(2, game_triple))))
+    tau = make_name(p, lambda br: (br[0][1] % 3 if br[0][0] == 0 else 0, 0), (3, 7))
+    assert len(level(p, 1)) == 3
+    q = densify_decide(p, tau)
+    ok, viol = validate_condition(q)
+    assert ok, viol
+    assert property_V(q, tau) and property_III(q, tau)
+    assert len(q["a"].succ((0,))) == 801
+
+
 def test_densify_requires_normal_form(split_condition):
     stacked = split_condition.replace("b", split_condition["a"])
     tau = make_name(stacked, lambda br: (0, 0), (8, 100))
