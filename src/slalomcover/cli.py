@@ -38,8 +38,15 @@ def _check(name: str, ok: bool, **extra) -> bool:
     return ok
 
 
+class UsageError(Exception):
+    """Malformed command-line input: one JSON error line and exit 2."""
+
+
 def _csv_ints(s: str) -> tuple:
-    return tuple(int(x) for x in s.split(","))
+    try:
+        return tuple(int(x) for x in s.split(","))
+    except (AttributeError, ValueError):
+        raise UsageError(f"expected comma-separated integers, got {s!r}") from None
 
 
 def _bound(s: str) -> BoundFn:
@@ -79,7 +86,7 @@ def cmd_triple(args) -> int:
 
 def cmd_covernum(args) -> int:
     f, g = _bound(args.f), _bound(args.g)
-    lower, upper, grid = cover_number_bounds(f, g)
+    lower, upper, _ = cover_number_bounds(f, g, guard=args.guard)
     out = {"lower": lower, "upper": upper, "exact": None, "family": None}
     if args.mode == "exact":
         exact, fam = cover_number_exact(f, g, guard=args.guard)
@@ -90,7 +97,8 @@ def cmd_covernum(args) -> int:
         out["family"] = family_to_dict(fam)["slaloms"]
         out["greedy_size"] = len(fam)
     _emit(out)
-    return 0
+    # an exact search that ran out of budget decided nothing
+    return 1 if args.mode == "exact" and out["exact"] is None else 0
 
 
 def cmd_reduce(args) -> int:
@@ -368,6 +376,9 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as e:
         _emit({"error": "missing input file", "detail": str(e)})
+        return 2
+    except UsageError as e:
+        _emit({"error": "bad input", "detail": str(e)})
         return 2
 
 

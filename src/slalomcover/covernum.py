@@ -1,10 +1,12 @@
 """Exact and bounded computation of the finite covering number.
 
 The covering number of (f, g) is the least m such that m slaloms with level
-sets of size g(k) cover the whole product space below f.  Everything here is
-brute force by design: instances are guarded, witnesses are deterministic,
-and the exact search is an iterative-deepening DFS starting at the counting
-lower bound.
+sets of size g(k) cover the whole product space below f.  Instances are
+guarded and witnesses are deterministic.  Both searches work on bitsets:
+branch b is bit rank(b) in lexicographic order, and each candidate slalom
+is the int of the branches it holds.  The exact search is an
+iterative-deepening DFS from the counting lower bound that remembers, for
+each uncovered set it failed on, the most slots it failed with.
 """
 
 from __future__ import annotations
@@ -26,18 +28,22 @@ def _prod(xs):
     return p
 
 
-def cover_number_bounds(f: BoundFn, g: BoundFn):
+def cover_number_bounds(f: BoundFn, g: BoundFn, guard: int = BRUTE_GUARD):
     """(counting lower bound, grid upper bound, grid witness family).
 
     lower = ceil(prod f / prod g); upper = prod ceil(f/g), witnessed by the
-    family of axis-aligned grid cells of side g(k).
+    family of axis-aligned grid cells of side g(k).  Raises GuardExceeded
+    when the grid has more than guard members.
     """
     if all(f(k) <= g(k) for k in range(f.window)):
         full = Slalom(f, tuple(frozenset(range(f(k))) for k in range(f.window)))
         return 1, 1, SlalomFamily((full,))
     lower = -(-_prod(f.values) // _prod(g.values))
+    sides = [-(-f(k) // g(k)) for k in range(f.window)]
+    if _prod(sides) > guard:
+        raise GuardExceeded(_prod(sides), guard, "grid family")
     per_level = [[frozenset(range(i * g(k), min((i + 1) * g(k), f(k))))
-                  for i in range(math.ceil(f(k) / g(k)))]
+                  for i in range(sides[k])]
                  for k in range(f.window)]
     family = SlalomFamily(tuple(Slalom(f, cells)
                                 for cells in itertools.product(*per_level)))
@@ -54,54 +60,84 @@ def _slalom_space_size(f: BoundFn, g: BoundFn) -> int:
     return _prod(math.comb(f(k), min(g(k), f(k))) for k in range(f.window))
 
 
+def _candidate_masks(f: BoundFn, g: BoundFn):
+    """Every candidate slalom in lexicographic order, with its bitset.
+
+    A candidate is a tuple of level sets of size min(g(k), f(k)).  Its
+    bitset has bit rank(b) set for each branch b it holds, where rank is
+    the lexicographic position among the branches below f.  Level k's set
+    S contributes sum(2^(v * stride_k) for v in S); the product of these
+    over the levels has exactly the held ranks as bits, with no carries.
+    """
+    cands, masks, stride = [()], [1], _prod(f.values)
+    for k in range(f.window):
+        stride //= f(k)
+        sets = _candidate_sets(f(k), g(k))
+        units = [sum(1 << (v * stride) for v in s) for s in sets]
+        cands = [c + (s,) for c in cands for s in sets]
+        masks = [m * u for m in masks for u in units]
+    return cands, masks
+
+
+def _family(f: BoundFn, g: BoundFn, chosen) -> SlalomFamily:
+    fam = SlalomFamily(tuple(Slalom(f, tuple(frozenset(s) for s in c)) for c in chosen))
+    ok, _ = covers(fam, g, f)
+    assert ok
+    return fam
+
+
 def cover_number_exact(f: BoundFn, g: BoundFn, budget: int = 64, guard: int = BRUTE_GUARD):
     """Least family size covering the product below f, with a witness family.
 
     Iterative deepening over the family size, starting at the counting
     bound.  Candidate slaloms have exact-cardinality level sets (padding
-    makes that lossless).  Raises GuardExceeded when the candidate space
-    is too large, and returns None if the budget is exhausted first.
+    makes that lossless).  Each node covers the least uncovered branch
+    with every candidate holding it, in lexicographic candidate order, so
+    the family returned is the first one in that order.  failed[u] = s
+    records that u cannot be covered with s slaloms, hence not with fewer;
+    it only skips searches that would fail, so it never changes the
+    family found, and it is kept across the rounds.  Raises GuardExceeded
+    when the candidate space is too large, and returns None if the budget
+    is exhausted first.
     """
     space = _slalom_space_size(f, g)
     if space > guard:
         raise GuardExceeded(space, guard, "candidate slalom space")
-    lower, upper, grid = cover_number_bounds(f, g)
+    lower, upper, grid = cover_number_bounds(f, g, guard)
     if all(f(k) <= g(k) for k in range(f.window)):
         return 1, grid
-    all_branches = list(itertools.product(*(range(f(k)) for k in range(f.window))))
-    per_level = [_candidate_sets(f(k), g(k)) for k in range(f.window)]
+    cands, masks = _candidate_masks(f, g)
     max_cover = _prod(min(g(k), f(k)) for k in range(f.window))
+    by_pivot = {}
+    failed = {}
 
-    # candidates covering a given branch, lexicographic by level-set tuples
-    def covering_candidates(branch):
-        opts = [[s for s in per_level[k] if branch[k] in s] for k in range(f.window)]
-        for combo in itertools.product(*opts):
-            yield combo
+    def holding(pivot):
+        """(index, complement of bitset) of the candidates holding pivot."""
+        if pivot not in by_pivot:
+            by_pivot[pivot] = [(i, ~m) for i, m in enumerate(masks) if m >> pivot & 1]
+        return by_pivot[pivot]
 
     def dfs(uncovered, chosen, slots):
         if not uncovered:
             return list(chosen)
-        if slots == 0 or len(uncovered) > slots * max_cover:
+        if slots == 0 or uncovered.bit_count() > slots * max_cover:
             return None
-        pivot = uncovered[0]
-        for cand in covering_candidates(pivot):
-            rest = [b for b in uncovered
-                    if not all(b[k] in cand[k] for k in range(f.window))]
-            chosen.append(cand)
-            found = dfs(rest, chosen, slots - 1)
+        if failed.get(uncovered, 0) >= slots:
+            return None
+        for i, outside in holding((uncovered & -uncovered).bit_length() - 1):
+            chosen.append(i)
+            found = dfs(uncovered & outside, chosen, slots - 1)
             if found is not None:
                 return found
             chosen.pop()
+        failed[uncovered] = slots
         return None
 
+    everything = (1 << _prod(f.values)) - 1
     for m in range(lower, min(upper, budget) + 1):
-        found = dfs(all_branches, [], m)
+        found = dfs(everything, [], m)
         if found is not None:
-            fam = SlalomFamily(tuple(Slalom(f, tuple(frozenset(s) for s in c))
-                                     for c in found))
-            ok, _ = covers(fam, g, f)
-            assert ok
-            return m, fam
+            return m, _family(f, g, [cands[i] for i in found])
     if upper <= budget:
         # the grid witness always covers, so this is unreachable
         raise AssertionError("grid bound not realized")
@@ -116,21 +152,12 @@ def greedy_cover(f: BoundFn, g: BoundFn, guard: int = BRUTE_GUARD) -> SlalomFami
     space = _slalom_space_size(f, g)
     if space > guard:
         raise GuardExceeded(space, guard, "candidate slalom space")
-    per_level = [_candidate_sets(f(k), min(g(k), f(k))) for k in range(f.window)]
-    candidates = list(itertools.product(*per_level))
-    uncovered = set(itertools.product(*(range(f(k)) for k in range(f.window))))
+    cands, masks = _candidate_masks(f, g)
+    uncovered = (1 << _prod(f.values)) - 1
     chosen = []
     while uncovered:
-        best, best_gain = None, -1
-        for cand in candidates:
-            gain = sum(1 for b in uncovered
-                       if all(b[k] in cand[k] for k in range(f.window)))
-            if gain > best_gain:
-                best, best_gain = cand, gain
-        uncovered = {b for b in uncovered
-                     if not all(b[k] in best[k] for k in range(f.window))}
-        chosen.append(best)
-    fam = SlalomFamily(tuple(Slalom(f, tuple(frozenset(s) for s in c)) for c in chosen))
-    ok, _ = covers(fam, g, f)
-    assert ok
-    return fam
+        # max keeps the first of several maxima: the lexicographic tie-break
+        best = max(range(len(masks)), key=lambda i: (uncovered & masks[i]).bit_count())
+        uncovered &= ~masks[best]
+        chosen.append(cands[best])
+    return _family(f, g, chosen)

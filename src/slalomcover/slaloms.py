@@ -2,8 +2,11 @@
 
 A slalom assigns to every level k a nonempty set of values below the ambient
 cap f(k).  A family of slaloms covers the product space below f when every
-branch threads through at least one of them.  Covering is decided by full
-enumeration of the product space; witnesses are lexicographically least.
+branch threads through at least one of them.  Covering is decided by a
+bitset kernel: a depth-first walk over branch prefixes in lexicographic
+order that carries the set of members still holding the prefix as one int,
+so the first prefix no member holds gives the lexicographically least
+witness without visiting the branches below covered prefixes one by one.
 """
 
 from __future__ import annotations
@@ -123,7 +126,41 @@ def covers(F: SlalomFamily, g_bound: BoundFn, f: BoundFn):
             if len(s) > g_bound(k):
                 raise ValidationFailure([(f"slalom {i}, k={k}",
                                           f"|B_k|={len(s)} > g(k)={g_bound(k)}")])
-    for br in branches(f):
-        if not any(all(v in B.sets[k] for k, v in enumerate(br.values)) for B in F):
-            return False, br
-    return True, None
+    gap = first_gap([B.sets for B in F], f.values)
+    return (True, None) if gap is None else (False, Branch(gap))
+
+
+def first_gap(family_sets, caps):
+    """The lexicographically least tuple below caps that no member holds.
+
+    family_sets lists each member's per-level value sets.  Bit i of
+    masks[k][v] is set when member i holds v at level k; a prefix is held
+    by the members in the AND of its masks, so the first prefix with an
+    empty AND, padded with zeros, is the least gap.  (level, member set)
+    pairs already shown to hold every suffix are memoized.  Returns None
+    when every tuple is held.
+    """
+    window = len(caps)
+    masks = [[0] * cap for cap in caps]
+    for i, sets in enumerate(family_sets):
+        for k, s in enumerate(sets):
+            for v in s:
+                masks[k][v] |= 1 << i
+    covered = set()
+
+    def gap_below(k, held):
+        for v, mask in enumerate(masks[k]):
+            rest = held & mask
+            if not rest:
+                return (v,) + (0,) * (window - k - 1)
+            if k + 1 < window and (k + 1, rest) not in covered:
+                tail = gap_below(k + 1, rest)
+                if tail is not None:
+                    return (v,) + tail
+                covered.add((k + 1, rest))
+        return None
+
+    if not window:
+        # the one empty tuple is held by any member
+        return None if family_sets else ()
+    return gap_below(0, (1 << len(family_sets)) - 1)

@@ -6,6 +6,7 @@ checked against something that cannot share their bugs.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -22,11 +23,73 @@ def naive_member(values, sets):
 
 
 def naive_covers(family_sets, f_values):
-    """Plain covering check: every tuple below f threads some slalom."""
+    """Plain covering check: the first tuple below f, in lexicographic
+    order, that threads no slalom, or None when every tuple threads one."""
     for branch in itertools.product(*(range(v) for v in f_values)):
         if not any(naive_member(branch, sets) for sets in family_sets):
-            return False
-    return True
+            return branch
+    return None
+
+
+def _level_candidates(f_values, g_values):
+    """Per level, every min(g, f)-subset of range(f) as a sorted tuple."""
+    return [list(itertools.combinations(range(fv), min(gv, fv)))
+            for fv, gv in zip(f_values, g_values)]
+
+
+def naive_cover_number_exact(f_values, g_values, budget=64):
+    """The exact search over lists of branch tuples that the bitset search
+    replaced: iterative deepening from the counting bound, each node
+    covering the least uncovered branch with every candidate holding it,
+    in lexicographic order.  Returns (m, family as level-set tuples), or
+    (None, None) when the budget runs out first."""
+    if all(fv <= gv for fv, gv in zip(f_values, g_values)):
+        return 1, [tuple(tuple(range(fv)) for fv in f_values)]
+    lower = -(-math.prod(f_values) // math.prod(g_values))
+    upper = math.prod(-(-fv // gv) for fv, gv in zip(f_values, g_values))
+    per_level = _level_candidates(f_values, g_values)
+    max_cover = math.prod(min(gv, fv) for fv, gv in zip(f_values, g_values))
+
+    def dfs(uncovered, chosen, slots):
+        if not uncovered:
+            return list(chosen)
+        if slots == 0 or len(uncovered) > slots * max_cover:
+            return None
+        pivot = uncovered[0]
+        opts = [[s for s in sets if pivot[k] in s] for k, sets in enumerate(per_level)]
+        for cand in itertools.product(*opts):
+            rest = [b for b in uncovered if not naive_member(b, cand)]
+            chosen.append(cand)
+            found = dfs(rest, chosen, slots - 1)
+            if found is not None:
+                return found
+            chosen.pop()
+        return None
+
+    everything = list(itertools.product(*(range(fv) for fv in f_values)))
+    for m in range(lower, min(upper, budget) + 1):
+        found = dfs(everything, [], m)
+        if found is not None:
+            return m, found
+    return None, None
+
+
+def naive_greedy_cover(f_values, g_values):
+    """The greedy loop over a set of branch tuples that the bitset greedy
+    replaced: add the candidate holding the most uncovered branches, the
+    first in lexicographic order on ties.  Returns level-set tuples."""
+    candidates = list(itertools.product(*_level_candidates(f_values, g_values)))
+    uncovered = set(itertools.product(*(range(fv) for fv in f_values)))
+    chosen = []
+    while uncovered:
+        best, best_gain = None, -1
+        for cand in candidates:
+            gain = sum(1 for b in uncovered if naive_member(b, cand))
+            if gain > best_gain:
+                best, best_gain = cand, gain
+        uncovered = {b for b in uncovered if not naive_member(b, best)}
+        chosen.append(best)
+    return chosen
 
 
 def condition_c_oracle(T):

@@ -144,3 +144,28 @@ def test_main_callable_in_process(capsys):
     assert main(["covernum", "--f", "3", "--g", "2", "--exact"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["exact"] == 2
+
+
+def test_malformed_integer_list_is_one_json_error_line():
+    proc = subprocess.run([sys.executable, "-m", "slalomcover.cli", "covernum",
+                           "--f", "3,x", "--g", "1,1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    (line,) = parse_lines(proc.stdout)
+    assert line["error"] == "bad input"
+    assert proc.stderr == ""
+
+
+def test_covernum_exact_out_of_budget_exits_one():
+    # the counting bound 81 lies above the default budget of 64
+    code, out = run_cli("covernum", "--f", "9,9", "--g", "1,1", "--exact")
+    assert code == 1
+    (line,) = parse_lines(out)
+    assert line["exact"] is None and line["lower"] == 81
+
+
+def test_covernum_bounds_obey_the_guard():
+    code, out = run_cli("--guard", "100", "covernum", "--f", "600,600", "--g", "1,1")
+    assert code == 1
+    (line,) = parse_lines(out)
+    assert line["error"] == "guard exceeded"

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -8,6 +9,8 @@ from slalomcover.covernum import (cover_number_bounds, cover_number_exact,
 from slalomcover.errors import GuardExceeded
 from slalomcover.scales import BoundFn
 from slalomcover.slaloms import covers
+
+from conftest import naive_cover_number_exact, naive_greedy_cover
 
 # Frozen oracle values, each re-derivable by hand:
 #   (3)/(2): two 2-sets cover [0,3), one cannot -> 2
@@ -98,3 +101,135 @@ def test_exact_monotone_in_g():
         if prev is not None:
             assert exact <= prev
         prev = exact
+
+
+def test_bounds_use_exact_integer_ceilings():
+    # float division would round (2^53 + 1) / 2 down to 2^52
+    with pytest.raises(GuardExceeded) as info:
+        cover_number_bounds(BoundFn((2 ** 53 + 1,)), BoundFn((2,)))
+    assert info.value.size == 2 ** 52 + 1
+
+
+def test_bounds_guard_trips_before_the_grid_is_built():
+    with pytest.raises(GuardExceeded):
+        cover_number_bounds(BoundFn((600, 600)), BoundFn((1, 1)), guard=1000)
+    lower, upper, grid = cover_number_bounds(BoundFn((6, 6)), BoundFn((2, 2)), guard=9)
+    assert (lower, upper, len(grid)) == (9, 9, 9)
+
+
+# ------------------------------------------- differential tests vs oracles
+
+def level_sets(fam):
+    return [tuple(tuple(sorted(s)) for s in B.sets) for B in fam]
+
+
+# every (f, g) with window <= 2, f(k) <= 5 and g(k) <= f(k)
+SMALL = [(f, g) for w in (1, 2) for f in itertools.product(range(1, 6), repeat=w)
+         for g in itertools.product(*(range(1, fv + 1) for fv in f))]
+
+# window-3 instances with levels sorted, 1 <= g(k) < f(k) <= 5, on which
+# the list search takes under 0.3 s; the four with counting bound above
+# the default budget of 64 return (None, None) on both sides
+WINDOW3 = [
+    ((2, 2, 2), (1, 1, 1)), ((2, 2, 3), (1, 1, 1)), ((2, 2, 3), (1, 1, 2)),
+    ((2, 2, 4), (1, 1, 1)), ((2, 2, 4), (1, 1, 2)), ((2, 2, 4), (1, 1, 3)),
+    ((2, 2, 5), (1, 1, 1)), ((2, 2, 5), (1, 1, 3)), ((2, 2, 5), (1, 1, 4)),
+    ((2, 3, 3), (1, 1, 1)), ((2, 3, 3), (1, 1, 2)), ((2, 3, 4), (1, 1, 1)),
+    ((2, 3, 4), (1, 1, 2)), ((2, 3, 5), (1, 1, 1)), ((2, 3, 3), (1, 2, 2)),
+    ((2, 3, 4), (1, 2, 3)), ((2, 4, 4), (1, 1, 1)), ((2, 4, 4), (1, 1, 2)),
+    ((2, 4, 5), (1, 1, 1)), ((2, 4, 4), (1, 2, 2)), ((2, 4, 5), (1, 2, 1)),
+    ((2, 5, 5), (1, 1, 1)), ((3, 3, 3), (1, 1, 1)), ((3, 3, 4), (1, 1, 1)),
+    ((3, 3, 4), (1, 1, 2)), ((3, 3, 5), (1, 1, 1)), ((3, 3, 3), (1, 2, 2)),
+    ((3, 4, 4), (1, 1, 1)), ((3, 4, 4), (1, 1, 2)), ((3, 4, 5), (1, 1, 1)),
+    ((3, 4, 4), (1, 2, 2)), ((3, 4, 5), (1, 2, 1)), ((3, 5, 5), (1, 1, 1)),
+    ((3, 3, 3), (2, 2, 2)), ((4, 4, 4), (1, 1, 1)), ((4, 4, 4), (1, 1, 2)),
+    ((4, 4, 5), (1, 1, 1)), ((4, 4, 4), (1, 2, 2)), ((4, 4, 5), (1, 2, 1)),
+    ((4, 5, 5), (1, 1, 1)), ((4, 4, 4), (2, 2, 2)), ((4, 4, 5), (2, 2, 1)),
+    ((4, 5, 5), (2, 1, 1)), ((5, 5, 5), (1, 1, 1)),
+]
+
+# the list search needs 0.3 s to over 4 minutes on these; their (m, family),
+# as it returns them, frozen
+FROZEN = {
+    ((4, 5), (1, 2)): (12, [
+        ((0,), (0, 1)), ((0,), (0, 2)), ((0,), (3, 4)), ((1,), (0, 1)), ((1,), (0, 2)),
+        ((1,), (3, 4)), ((2,), (0, 1)), ((2,), (0, 2)), ((2,), (3, 4)), ((3,), (0, 1)),
+        ((3,), (0, 2)), ((3,), (3, 4)),
+    ]),
+    ((5, 4), (2, 1)): (12, [
+        ((0, 1), (0,)), ((0, 1), (1,)), ((0, 1), (2,)), ((0, 1), (3,)), ((0, 2), (0,)),
+        ((0, 2), (1,)), ((0, 2), (2,)), ((0, 2), (3,)), ((3, 4), (0,)), ((3, 4), (1,)),
+        ((3, 4), (2,)), ((3, 4), (3,)),
+    ]),
+    ((5, 4), (3, 1)): (8, [
+        ((0, 1, 2), (0,)), ((0, 1, 2), (1,)), ((0, 1, 2), (2,)), ((0, 1, 2), (3,)),
+        ((0, 3, 4), (0,)), ((0, 3, 4), (1,)), ((0, 3, 4), (2,)), ((0, 3, 4), (3,)),
+    ]),
+    ((5, 5), (1, 2)): (15, [
+        ((0,), (0, 1)), ((0,), (0, 2)), ((0,), (3, 4)), ((1,), (0, 1)), ((1,), (0, 2)),
+        ((1,), (3, 4)), ((2,), (0, 1)), ((2,), (0, 2)), ((2,), (3, 4)), ((3,), (0, 1)),
+        ((3,), (0, 2)), ((3,), (3, 4)), ((4,), (0, 1)), ((4,), (0, 2)), ((4,), (3, 4)),
+    ]),
+    ((5, 5), (1, 4)): (10, [
+        ((0,), (0, 1, 2, 3)), ((0,), (0, 1, 2, 4)), ((1,), (0, 1, 2, 3)),
+        ((1,), (0, 1, 2, 4)), ((2,), (0, 1, 2, 3)), ((2,), (0, 1, 2, 4)),
+        ((3,), (0, 1, 2, 3)), ((3,), (0, 1, 2, 4)), ((4,), (0, 1, 2, 3)),
+        ((4,), (0, 1, 2, 4)),
+    ]),
+    ((5, 5), (2, 1)): (15, [
+        ((0, 1), (0,)), ((0, 1), (1,)), ((0, 1), (2,)), ((0, 1), (3,)), ((0, 1), (4,)),
+        ((0, 2), (0,)), ((0, 2), (1,)), ((0, 2), (2,)), ((0, 2), (3,)), ((0, 2), (4,)),
+        ((3, 4), (0,)), ((3, 4), (1,)), ((3, 4), (2,)), ((3, 4), (3,)), ((3, 4), (4,)),
+    ]),
+    ((5, 5), (2, 2)): (8, [
+        ((0, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 1), (3, 4)), ((0, 2), (0, 1)),
+        ((2, 3), (2, 3)), ((2, 4), (2, 4)), ((3, 4), (0, 1)), ((3, 4), (3, 4)),
+    ]),
+    ((5, 5), (3, 1)): (10, [
+        ((0, 1, 2), (0,)), ((0, 1, 2), (1,)), ((0, 1, 2), (2,)), ((0, 1, 2), (3,)),
+        ((0, 1, 2), (4,)), ((0, 3, 4), (0,)), ((0, 3, 4), (1,)), ((0, 3, 4), (2,)),
+        ((0, 3, 4), (3,)), ((0, 3, 4), (4,)),
+    ]),
+    ((5, 5), (4, 1)): (10, [
+        ((0, 1, 2, 3), (0,)), ((0, 1, 2, 3), (1,)), ((0, 1, 2, 3), (2,)),
+        ((0, 1, 2, 3), (3,)), ((0, 1, 2, 3), (4,)), ((0, 1, 2, 4), (0,)),
+        ((0, 1, 2, 4), (1,)), ((0, 1, 2, 4), (2,)), ((0, 1, 2, 4), (3,)),
+        ((0, 1, 2, 4), (4,)),
+    ]),
+    ((5, 5), (4, 2)): (5, [
+        ((0, 1, 2, 3), (0, 1)), ((0, 1, 2, 3), (2, 3)), ((0, 1, 2, 4), (0, 4)),
+        ((0, 1, 3, 4), (1, 4)), ((0, 1, 2, 4), (2, 3)),
+    ]),
+}
+
+
+def test_exact_search_matches_the_list_oracle():
+    for f_vals, g_vals in SMALL + WINDOW3:
+        if (f_vals, g_vals) in FROZEN:
+            continue
+        m, fam = cover_number_exact(BoundFn(f_vals), BoundFn(g_vals))
+        want_m, want_fam = naive_cover_number_exact(f_vals, g_vals)
+        assert m == want_m, (f_vals, g_vals)
+        got = None if fam is None else level_sets(fam)
+        assert got == want_fam, (f_vals, g_vals)
+
+
+def test_exact_search_matches_the_frozen_oracle_families():
+    for (f_vals, g_vals), (want_m, want_fam) in FROZEN.items():
+        m, fam = cover_number_exact(BoundFn(f_vals), BoundFn(g_vals))
+        assert (m, level_sets(fam)) == (want_m, want_fam), (f_vals, g_vals)
+
+
+def test_greedy_matches_the_set_oracle():
+    for f_vals, g_vals in SMALL:
+        fam = greedy_cover(BoundFn(f_vals), BoundFn(g_vals))
+        assert level_sets(fam) == naive_greedy_cover(f_vals, g_vals), (f_vals, g_vals)
+
+
+def test_five_by_five_by_two_by_two_is_eight():
+    # the list search needs about a minute here, nearly all of it proving
+    # that 7 slaloms cannot cover; the family is the one it returns
+    m, fam = cover_number_exact(BoundFn((5, 5)), BoundFn((2, 2)))
+    assert m == 8
+    assert level_sets(fam)[:2] == [((0, 1), (0, 1)), ((0, 1), (0, 2))]
+    assert (m, level_sets(fam)) == FROZEN[((5, 5), (2, 2))]

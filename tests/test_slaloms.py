@@ -73,7 +73,7 @@ def test_covers_agrees_with_naive_oracle(data):
     f_vals = tuple(data.draw(st.integers(1, 4)) for _ in range(window))
     f = BoundFn(f_vals)
     g_vals = tuple(data.draw(st.integers(1, fv)) for fv in f_vals)
-    n_slaloms = data.draw(st.integers(1, 3))
+    n_slaloms = data.draw(st.integers(0, 3))
     fam_sets = []
     for _ in range(n_slaloms):
         sets = tuple(
@@ -83,6 +83,29 @@ def test_covers_agrees_with_naive_oracle(data):
         fam_sets.append(sets)
     fam = SlalomFamily(tuple(Slalom(f, s) for s in fam_sets))
     ok, wit = covers(fam, BoundFn(g_vals), f)
-    assert ok == naive_covers(fam_sets, f_vals)
+    gap = naive_covers(fam_sets, f_vals)
+    assert ok == (gap is None)
     if not ok:
+        assert wit.values == gap
         assert not any(member(wit, B) for B in fam)
+
+
+def test_empty_family_misses_the_least_branch():
+    f = BoundFn((3, 2))
+    ok, wit = covers(SlalomFamily(()), BoundFn((1, 1)), f)
+    assert not ok
+    assert wit.values == (0, 0)
+
+
+def test_covered_member_sets_are_remembered_per_level():
+    # {A} holds everything below level 2 after the prefix (0, 0), but not
+    # everything below level 1 after the prefix (1,): the gap (1, 1, 0)
+    # must not be skipped as already covered
+    f = BoundFn((2, 2, 1))
+    fam = SlalomFamily((
+        Slalom(f, (frozenset({0, 1}), frozenset({0}), frozenset({0}))),
+        Slalom(f, (frozenset({0}), frozenset({1}), frozenset({0}))),
+    ))
+    ok, wit = covers(fam, BoundFn((2, 1, 1)), f)
+    assert not ok
+    assert wit.values == (1, 1, 0)
