@@ -16,7 +16,7 @@ from .conditions import (ProductCondition, NormedTree, is_normal_form, level,
                          level_size_check, linear_tree, splitting_levels,
                          to_normal_form, validate_condition)
 from .covernum import BRUTE_GUARD, cover_number_bounds, cover_number_exact, greedy_cover
-from .errors import GuardExceeded, SlalomError, ValidationFailure
+from .errors import BadInput, GuardExceeded, SlalomError, ValidationFailure
 from .extraction import FiniteName, densify_decide, extract_slalom, property_V
 from .game import accountant_bookkeeping, play, spendthrift_minimal
 from .norms import NormSpec, norm_value
@@ -26,7 +26,7 @@ from .reductions import (addition_lift, allfunctions_system,
 from .scales import (BoundFn, T1, gen_blass_family, gen_square_pair,
                      progressivity_profile, separation_profile, validate_scale,
                      validate_triple)
-from .serde import family_from_dict, family_to_dict, load
+from .serde import family_from_dict, family_to_dict, read
 
 
 def _emit(obj):
@@ -38,15 +38,11 @@ def _check(name: str, ok: bool, **extra) -> bool:
     return ok
 
 
-class UsageError(Exception):
-    """Malformed command-line input: one JSON error line and exit 2."""
-
-
 def _csv_ints(s: str) -> tuple:
     try:
         return tuple(int(x) for x in s.split(","))
     except (AttributeError, ValueError):
-        raise UsageError(f"expected comma-separated integers, got {s!r}") from None
+        raise BadInput(f"expected comma-separated integers, got {s!r}") from None
 
 
 def _bound(s: str) -> BoundFn:
@@ -120,19 +116,21 @@ def cmd_reduce(args) -> int:
         else:
             _emit({"system": serde.transfer_to_dict(T)})
     elif args.lift:
-        G = family_from_dict(load(args.infile))
+        G = read(args.infile, family_from_dict)
         f, g = _bound(args.f), _bound(args.g)
         if args.lift == "halving":
             out = halving_lift(f, g, G)
         elif args.lift == "addition":
             out = addition_lift(f, g, G)
         elif args.lift == "compose":
-            H = family_from_dict(load(args.infile2))
+            H = read(args.infile2, family_from_dict)
             out = transitivity_compose(G, H, f, g, _bound(args.h))
         else:
-            H = family_from_dict(load(args.infile2))
+            H = read(args.infile2, family_from_dict)
             out = product_pair(G, H, f, g, _bound(args.f2), _bound(args.g2))
         _emit({"family": family_to_dict(out)["slaloms"], "size": len(out)})
+    else:
+        raise BadInput("reduce needs --system or --lift")
     return 0 if ok_all else 1
 
 
@@ -146,7 +144,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_condition(args) -> int:
-    p = serde.condition_from_dict(load(args.infile))
+    p = read(args.infile, serde.condition_from_dict)
     if args.action == "validate":
         ok, viol = validate_condition(p)
         return 0 if _check("condition.validate", ok, violations=viol) else 1
@@ -164,7 +162,7 @@ def cmd_condition(args) -> int:
 
 
 def cmd_game(args) -> int:
-    p = serde.condition_from_dict(load(args.infile))
+    p = read(args.infile, serde.condition_from_dict)
     t = play(p, accountant_bookkeeping, spendthrift_minimal, args.rounds)
     _emit({"rounds_played": len(t.rounds), "exhausted": t.exhausted,
            "forfeited": t.forfeited, "forfeit_rule": t.forfeit_rule,
@@ -176,9 +174,9 @@ def cmd_game(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    p = serde.condition_from_dict(load(args.condition))
-    tau = serde.name_from_dict(load(args.name), p)
-    xi = serde.triple_from_dict(load(args.xi))
+    p = read(args.condition, serde.condition_from_dict)
+    tau = read(args.name, serde.name_from_dict, p)
+    xi = read(args.xi, serde.triple_from_dict)
     A = set(args.A.split(",")) if args.A else set()
     q = densify_decide(p, tau)
     ok_all = _check("extract.densify", property_V(q, tau))
@@ -285,8 +283,6 @@ def cmd_demo(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="slalomcover")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized suites (reports stay deterministic)")
     ap.add_argument("--guard", type=int, default=BRUTE_GUARD,
                     help="brute-force size guard")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -344,11 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_condition)
 
     sp = sub.add_parser("game")
-    sp.add_argument("play", nargs="?", default="play")
+    sp.add_argument("action", nargs="?", choices=["play"], default="play")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--rounds", type=int, default=3)
-    sp.add_argument("--accountant", default="bookkeeping")
-    sp.add_argument("--spendthrift", default="thinning")
     sp.set_defaults(fn=cmd_game)
 
     sp = sub.add_parser("extract")
@@ -377,7 +371,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         _emit({"error": "missing input file", "detail": str(e)})
         return 2
-    except UsageError as e:
+    except BadInput as e:
         _emit({"error": "bad input", "detail": str(e)})
         return 2
 

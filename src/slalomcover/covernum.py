@@ -21,11 +21,10 @@ from .slaloms import Slalom, SlalomFamily, covers
 BRUTE_GUARD = 10 ** 6
 
 
-def _prod(xs):
-    p = 1
-    for x in xs:
-        p *= x
-    return p
+def _counting_and_sides(f: BoundFn, g: BoundFn):
+    """ceil(prod f / prod g), and the grid's cell count ceil(f/g) per level."""
+    return (-(-math.prod(f.values) // math.prod(g.values)),
+            [-(-f(k) // g(k)) for k in range(f.window)])
 
 
 def cover_number_bounds(f: BoundFn, g: BoundFn, guard: int = BRUTE_GUARD):
@@ -38,10 +37,9 @@ def cover_number_bounds(f: BoundFn, g: BoundFn, guard: int = BRUTE_GUARD):
     if all(f(k) <= g(k) for k in range(f.window)):
         full = Slalom(f, tuple(frozenset(range(f(k))) for k in range(f.window)))
         return 1, 1, SlalomFamily((full,))
-    lower = -(-_prod(f.values) // _prod(g.values))
-    sides = [-(-f(k) // g(k)) for k in range(f.window)]
-    if _prod(sides) > guard:
-        raise GuardExceeded(_prod(sides), guard, "grid family")
+    lower, sides = _counting_and_sides(f, g)
+    if math.prod(sides) > guard:
+        raise GuardExceeded(math.prod(sides), guard, "grid family")
     per_level = [[frozenset(range(i * g(k), min((i + 1) * g(k), f(k))))
                   for i in range(sides[k])]
                  for k in range(f.window)]
@@ -57,7 +55,7 @@ def _candidate_sets(fk: int, gk: int):
 
 
 def _slalom_space_size(f: BoundFn, g: BoundFn) -> int:
-    return _prod(math.comb(f(k), min(g(k), f(k))) for k in range(f.window))
+    return math.prod(math.comb(f(k), min(g(k), f(k))) for k in range(f.window))
 
 
 def _candidate_masks(f: BoundFn, g: BoundFn):
@@ -69,7 +67,7 @@ def _candidate_masks(f: BoundFn, g: BoundFn):
     S contributes sum(2^(v * stride_k) for v in S); the product of these
     over the levels has exactly the held ranks as bits, with no carries.
     """
-    cands, masks, stride = [()], [1], _prod(f.values)
+    cands, masks, stride = [()], [1], math.prod(f.values)
     for k in range(f.window):
         stride //= f(k)
         sets = _candidate_sets(f(k), g(k))
@@ -103,11 +101,13 @@ def cover_number_exact(f: BoundFn, g: BoundFn, budget: int = 64, guard: int = BR
     space = _slalom_space_size(f, g)
     if space > guard:
         raise GuardExceeded(space, guard, "candidate slalom space")
-    lower, upper, grid = cover_number_bounds(f, g, guard)
     if all(f(k) <= g(k) for k in range(f.window)):
-        return 1, grid
+        return 1, cover_number_bounds(f, g)[2]
+    # no grid is built, and its guard holds: space >= prod ceil(f/g)
+    lower, sides = _counting_and_sides(f, g)
+    upper = math.prod(sides)
     cands, masks = _candidate_masks(f, g)
-    max_cover = _prod(min(g(k), f(k)) for k in range(f.window))
+    max_cover = math.prod(min(g(k), f(k)) for k in range(f.window))
     by_pivot = {}
     failed = {}
 
@@ -133,7 +133,7 @@ def cover_number_exact(f: BoundFn, g: BoundFn, budget: int = 64, guard: int = BR
         failed[uncovered] = slots
         return None
 
-    everything = (1 << _prod(f.values)) - 1
+    everything = (1 << math.prod(f.values)) - 1
     for m in range(lower, min(upper, budget) + 1):
         found = dfs(everything, [], m)
         if found is not None:
@@ -147,13 +147,13 @@ def cover_number_exact(f: BoundFn, g: BoundFn, budget: int = 64, guard: int = BR
 def greedy_cover(f: BoundFn, g: BoundFn, guard: int = BRUTE_GUARD) -> SlalomFamily:
     """Greedy heuristic: repeatedly add the slalom covering the most new
     branches, ties broken by lexicographic candidate order."""
-    if _prod(f.values) > guard:
-        raise GuardExceeded(_prod(f.values), guard, "branch space")
+    if math.prod(f.values) > guard:
+        raise GuardExceeded(math.prod(f.values), guard, "branch space")
     space = _slalom_space_size(f, g)
     if space > guard:
         raise GuardExceeded(space, guard, "candidate slalom space")
     cands, masks = _candidate_masks(f, g)
-    uncovered = (1 << _prod(f.values)) - 1
+    uncovered = (1 << math.prod(f.values)) - 1
     chosen = []
     while uncovered:
         # max keeps the first of several maxima: the lexicographic tie-break

@@ -5,6 +5,10 @@ class SlalomError(Exception):
     pass
 
 
+class BadInput(Exception):
+    """A malformed command-line value or input file (usage, not a failed check)."""
+
+
 class WindowMismatch(SlalomError):
     """Operands live on different windows."""
 

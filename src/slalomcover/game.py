@@ -132,29 +132,36 @@ def accountant_bookkeeping(state: GameState) -> AccountantMove:
     return AccountantMove(nodes[0], alpha, state.round)
 
 
-def _linearize_between(p: ProductCondition, lo: int, hi: int, keep_paths=None,
-                       prefer=None):
+def _restriction(F) -> dict:
+    """F as {(coord, node tuple): frozenset of successor tuples}."""
+    return {(c, tuple(n)): frozenset(tuple(s) for s in v) for (c, n), v in (F or {}).items()}
+
+
+def _allowed_succ(tree, coord, node, F) -> list:
+    """The successors of node inside F's set for (coord, node), in order;
+    all of them when F has no set there."""
+    succs = tree.succ(node)
+    fset = F.get((coord, node))
+    return succs if fset is None else [s for s in succs if s in fset]
+
+
+def _linearize_between(p: ProductCondition, lo: int, hi: int, alpha, nu: tuple, F):
     """Prune every split at levels in [lo, hi) to a single successor.
 
-    keep_paths maps a coordinate to a node the surviving branch must stay
-    comparable with; prefer maps split nodes to preferred successor sets.
+    On coordinate alpha the surviving branch stays comparable with nu;
+    elsewhere it takes the least successor inside F, or the least one when
+    F allows none.
     """
-    keep_paths = keep_paths or {}
-    prefer = prefer or {}
     q = p
     for k in range(lo, hi):
         for kk, c, n in splitting_levels(q):
             if kk != k:
                 continue
             tree = q[c]
-            succs = tree.succ(n)
-            want = keep_paths.get(c)
-            if want is not None and len(want) > k and n == want[:k]:
-                choice = want[:k + 1]
+            if c == alpha and len(nu) > k and n == nu[:k]:
+                choice = nu[:k + 1]
             else:
-                allowed = prefer.get((c, n))
-                pool = [s for s in succs if s in allowed] if allowed else succs
-                choice = (pool or succs)[0]
+                choice = (_allowed_succ(tree, c, n, F) or tree.succ(n))[0]
             q = q.replace(c, tree.restrict_succ(n, [choice]))
     return q
 
@@ -169,15 +176,7 @@ def make_thinning_spendthrift(F=None):
     inside F wherever applicable), and restricts the chosen split to F.
     Returns None when no split within depth can meet the demand.
     """
-    F = {(c, tuple(n)): frozenset(tuple(s) for s in v)
-         for (c, n), v in (F or {}).items()}
-
-    def allowed_succ(tree, coord, node):
-        succs = tree.succ(node)
-        fset = F.get((coord, node))
-        if fset is None:
-            return succs
-        return [s for s in succs if s in fset]
+    F = _restriction(F)
 
     def spendthrift(state: GameState, acc: AccountantMove) -> SpendthriftMove:
         p = state.condition
@@ -190,7 +189,7 @@ def make_thinning_spendthrift(F=None):
             # rule (4): nu must properly extend the accountant's node
             if len(n) <= len(eta) or n[:len(eta)] != eta:
                 continue
-            cand = allowed_succ(tree, acc.alpha, n)
+            cand = _allowed_succ(tree, acc.alpha, n, F)
             if len(cand) <= 1:
                 continue
             nv = norm_value(NormSpec(spec_g, spec_h), len(n), len(cand))
@@ -200,8 +199,7 @@ def make_thinning_spendthrift(F=None):
         if target is None:
             return None
         nu, cand = target
-        q = _linearize_between(p, state.level, len(nu),
-                               keep_paths={acc.alpha: nu}, prefer=F)
+        q = _linearize_between(p, state.level, len(nu), acc.alpha, nu, F)
         q = q.replace(acc.alpha, q[acc.alpha].restrict_succ(nu, cand))
         return SpendthriftMove(q, nu)
 
@@ -225,14 +223,13 @@ def thinning(p: ProductCondition, F) -> ProductCondition:
     """
     if not is_normal_form(p):
         raise ValidationFailure([("normal form", "condition has stacked splits")])
-    F = {(c, tuple(n)): sorted(tuple(s) for s in v) for (c, n), v in F.items()}
+    F = _restriction(F)
     splits = splitting_levels(p)
     for l, (k, c, n) in enumerate(splits):
         if (c, n) not in F:
             continue
         tree = p[c]
-        succs = set(tree.succ(n))
-        fset = [s for s in F[(c, n)] if s in succs]
+        fset = _allowed_succ(tree, c, n, F)
         if not fset:
             raise ValidationFailure([(f"l={l}", "F-set disjoint from successors")])
         spec = NormSpec(tree.triple.g.values, tree.triple.h.values)
@@ -249,9 +246,7 @@ def thinning(p: ProductCondition, F) -> ProductCondition:
         succs = tree.succ(n)
         if len(succs) <= 1:
             continue
-        fset = [s for s in F.get((c, n), succs) if s in set(succs)]
-        if not fset:
-            fset = succs
+        fset = _allowed_succ(tree, c, n, F) or succs
         spec = NormSpec(tree.triple.g.values, tree.triple.h.values)
         if norm_value(spec, k, len(fset)) >= survivors and len(fset) > 1:
             q = q.replace(c, tree.restrict_succ(n, fset))

@@ -8,7 +8,6 @@ whenever c/d <= h(k); cd_select realizes that choice deterministically.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import GuardExceeded, ValidationFailure
@@ -44,19 +43,6 @@ def norm_value(spec: NormSpec, k: int, size: int) -> int:
     return m
 
 
-def natural_norm(c: int, d: int):
-    """The log_{c/d} cardinality norm: largest m with (c/d)^m <= size."""
-    def norm(size: int) -> int:
-        if size < 1:
-            raise ValidationFailure([("size", f"{size} < 1")])
-        m = 0
-        # (c/d)^(m+1) <= size, kept in integers: c^(m+1) <= size * d^(m+1)
-        while c ** (m + 1) <= size * d ** (m + 1):
-            m += 1
-        return m
-    return norm
-
-
 def _compositions(total, max_parts):
     """Nonincreasing positive partitions of total into at most max_parts parts."""
     def rec(rest, parts, cap):
@@ -88,34 +74,6 @@ def cd_complete_check(norm, X_size: int, c: int, d: int):
         for parts in _compositions(a_size, c):
             if norm(sum(parts[:d])) < target:
                 return False, (a_size, parts)
-    return True, None
-
-
-def cd_complete_check_sets(norm_of_set, X: frozenset, c: int, d: int):
-    """Slow labeled-set oracle for (c,d)-completeness on an explicit ground set.
-
-    norm_of_set maps a nonempty frozenset to an integer.  Enumerates every
-    nonempty a <= X and every assignment of a's elements into c labeled
-    pieces, and asks for *some* d pieces whose union keeps the norm up.
-    Cross-validation only; X must be tiny.
-    """
-    if len(X) > 6:
-        raise GuardExceeded(len(X), 6, "cd_complete_check_sets")
-    elems = sorted(X)
-    for r in range(1, len(elems) + 1):
-        for a in itertools.combinations(elems, r):
-            target = norm_of_set(frozenset(a)) - 1
-            for assign in itertools.product(range(c), repeat=r):
-                pieces = [frozenset(x for x, p in zip(a, assign) if p == i)
-                          for i in range(c)]
-                ok = any(
-                    norm_of_set(frozenset().union(*(pieces[i] for i in combo)))
-                    >= target
-                    for combo in itertools.combinations(range(c), d)
-                    if any(pieces[i] for i in combo)
-                )
-                if not ok:
-                    return False, (frozenset(a), tuple(pieces))
     return True, None
 
 

@@ -1,8 +1,9 @@
 """Witness transfers between covering problems.
 
 Each inequality of the covering-number calculus is realized as an executable
-transformation on covering families, and every output family is re-verified
-by full branch enumeration.  The central object is a transfer system: a
+transformation on covering families.  One helper, _lifted, checks that every
+input family covers and re-verifies every output family with the bitset
+covering kernel of covers.  The central object is a transfer system: a
 partition of the source window into blocks w_i together with maps
 H[i][l] : [0, f'(i)) -> [0, f(l)) whose joint preimages of small sets stay
 small (condition (c)); such a system pushes covering families for (f, g)
@@ -20,13 +21,6 @@ from .scales import BoundFn
 from .slaloms import Branch, Slalom, SlalomFamily, covers, pad_to
 
 CHECK_GUARD = 10 ** 6
-
-
-def _prod(xs):
-    p = 1
-    for x in xs:
-        p *= x
-    return p
 
 
 @dataclass(frozen=True)
@@ -68,9 +62,6 @@ class TransferSystem:
                     bad.append((f"i={i},l={l}", f"range exceeds f(l)={self.f(l)}"))
         if bad:
             raise ValidationFailure(bad)
-
-    def map_for(self, i: int, l: int):
-        return self.maps[i][self.blocks[i].index(l)]
 
 
 def check_condition_c(T: TransferSystem, guard: int = CHECK_GUARD):
@@ -123,18 +114,32 @@ def branch_pushforward(T: TransferSystem, x: Branch) -> Branch:
     return Branch(tuple(out))
 
 
+def _lifted(inputs, slaloms, g: BoundFn, f: BoundFn, what: str) -> SlalomFamily:
+    """Check the input covers, build the output family, re-verify it.
+
+    inputs lists (label, family, g_i, f_i); a family that does not cover
+    the product below f_i with g_i-slaloms is rejected under its label.
+    slaloms is a generator of the output members, so nothing is built
+    before every input has passed.  The output must cover the product
+    below f with g-slaloms; if it does not, the construction is wrong.
+    """
+    for label, family, gi, fi in inputs:
+        ok, wit = covers(family, gi, fi)
+        if not ok:
+            raise ValidationFailure([(label, f"family does not cover, witness {wit.values}")])
+    out = SlalomFamily(tuple(slaloms))
+    ok, wit = covers(out, g, f)
+    if not ok:
+        raise AssertionError(f"{what} lost coverage at {wit.values}")
+    return out
+
+
 def family_pushforward(T: TransferSystem, G: SlalomFamily, verify: bool = True) -> SlalomFamily:
     """Push a covering family for (f, g) to one for (f', g'); re-verified."""
-    if verify:
-        ok, wit = covers(G, T.g, T.f)
-        if not ok:
-            raise ValidationFailure([("input", f"family does not cover, witness {wit.values}")])
-    out = SlalomFamily(tuple(slalom_pushforward(T, B) for B in G))
-    if verify:
-        ok, wit = covers(out, T.gp, T.fp)
-        if not ok:
-            raise AssertionError(f"pushforward lost coverage at {wit.values}")
-    return out
+    pushed = (slalom_pushforward(T, B) for B in G)
+    if not verify:
+        return SlalomFamily(tuple(pushed))
+    return _lifted([("input", G, T.g, T.f)], pushed, T.gp, T.fp, "pushforward")
 
 
 def mixed_radix_decode(n: int, radices) -> tuple:
@@ -161,8 +166,8 @@ def block_coding_system(f: BoundFn, g: BoundFn, cuts) -> TransferSystem:
     if cuts[0] != 0 or cuts[-1] != K or any(a >= b for a, b in zip(cuts, cuts[1:])):
         raise ValidationFailure([("cuts", f"{cuts} is not an increasing 0..{K} sequence")])
     blocks = tuple(tuple(range(a, b)) for a, b in zip(cuts, cuts[1:]))
-    fp = BoundFn(tuple(_prod(f(l) for l in w) for w in blocks))
-    gp = BoundFn(tuple(_prod(g(l) for l in w) for w in blocks))
+    fp = BoundFn(tuple(math.prod(f(l) for l in w) for w in blocks))
+    gp = BoundFn(tuple(math.prod(g(l) for l in w) for w in blocks))
     maps = []
     for i, w in enumerate(blocks):
         radices = [f(l) for l in w]
@@ -220,21 +225,12 @@ def _lift_by_blocks(f: BoundFn, g: BoundFn, G: SlalomFamily, block_fn):
     output slaloms A_k = union of blocks picked by C_k cover the target and
     are re-verified.
     """
-    ok, wit = covers(G, g, f)
-    if not ok:
-        raise ValidationFailure([("input", f"family does not cover, witness {wit.values}")])
     per_level_blocks = [block_fn(k) for k in range(f.window)]
     target = BoundFn(tuple(sum(len(b) for b in blocks) for blocks in per_level_blocks))
-    out = []
-    for C in G:
-        sets = tuple(frozenset().union(*(per_level_blocks[k][i] for i in C.sets[k]))
-                     for k in range(f.window))
-        out.append(Slalom(target, sets))
-    fam = SlalomFamily(tuple(out))
-    ok, wit = covers(fam, f, target)
-    if not ok:
-        raise AssertionError(f"lift lost coverage at {wit.values}")
-    return fam
+    lifted = (Slalom(target, tuple(frozenset().union(*(blocks[i] for i in C.sets[k]))
+                                   for k, blocks in enumerate(per_level_blocks)))
+              for C in G)
+    return _lifted([("input", G, g, f)], lifted, f, target, "lift")
 
 
 def halving_lift(f: BoundFn, g: BoundFn, G: SlalomFamily) -> SlalomFamily:
@@ -271,27 +267,19 @@ def transitivity_compose(G: SlalomFamily, H: SlalomFamily, f: BoundFn,
                          g: BoundFn, h: BoundFn) -> SlalomFamily:
     """From a g-cover of f and an h-cover of g, an h-cover of f of size
     <= |G|*|H|, via the increasing enumeration of each level set."""
-    ok, wit = covers(G, g, f)
-    if not ok:
-        raise ValidationFailure([("G", f"does not cover, witness {wit.values}")])
-    ok, wit = covers(H, h, g)
-    if not ok:
-        raise ValidationFailure([("H", f"does not cover, witness {wit.values}")])
-    out = []
-    for B in G:
-        # pad to exact cardinality so the increasing enumeration is total
-        padded = pad_to(B, BoundFn(tuple(min(g(k), f(k)) for k in range(f.window))))
-        enums = [sorted(padded.sets[k]) for k in range(f.window)]
-        for D in H:
-            sets = tuple(frozenset(enums[k][j] for j in D.sets[k] if j < len(enums[k]))
-                         or frozenset({enums[k][0]})
-                         for k in range(f.window))
-            out.append(Slalom(f, sets))
-    fam = SlalomFamily(tuple(out))
-    ok, wit = covers(fam, h, f)
-    if not ok:
-        raise AssertionError(f"composition lost coverage at {wit.values}")
-    return fam
+    # pad to exact cardinality so the increasing enumeration is total
+    exact = BoundFn(tuple(min(g(k), f(k)) for k in range(f.window)))
+
+    def composed():
+        for B in G:
+            enums = [sorted(s) for s in pad_to(B, exact).sets]
+            for D in H:
+                sets = tuple(frozenset(enums[k][j] for j in D.sets[k] if j < len(enums[k]))
+                             or frozenset({enums[k][0]})
+                             for k in range(f.window))
+                yield Slalom(f, sets)
+
+    return _lifted([("G", G, g, f), ("H", H, h, g)], composed(), h, f, "composition")
 
 
 def product_pair(Gf: SlalomFamily, Gf2: SlalomFamily, f: BoundFn, g: BoundFn,
@@ -299,25 +287,12 @@ def product_pair(Gf: SlalomFamily, Gf2: SlalomFamily, f: BoundFn, g: BoundFn,
     """Pairwise products under the per-level pairing (a,b) -> a*f2(k)+b."""
     if f.window != f2.window:
         raise WindowMismatch("factors on different windows")
-    ok, wit = covers(Gf, g, f)
-    if not ok:
-        raise ValidationFailure([("Gf", f"does not cover, witness {wit.values}")])
-    ok, wit = covers(Gf2, g2, f2)
-    if not ok:
-        raise ValidationFailure([("Gf2", f"does not cover, witness {wit.values}")])
     target = BoundFn(tuple(f(k) * f2(k) for k in range(f.window)))
     gt = BoundFn(tuple(g(k) * g2(k) for k in range(f.window)))
-    out = []
-    for B in Gf:
-        for D in Gf2:
-            sets = tuple(frozenset(a * f2(k) + b for a in B.sets[k] for b in D.sets[k])
-                         for k in range(f.window))
-            out.append(Slalom(target, sets))
-    fam = SlalomFamily(tuple(out))
-    ok, wit = covers(fam, gt, target)
-    if not ok:
-        raise AssertionError(f"product lost coverage at {wit.values}")
-    return fam
+    products = (Slalom(target, tuple(frozenset(a * f2(k) + b for a in B.sets[k] for b in D.sets[k])
+                                     for k in range(f.window)))
+                for B in Gf for D in Gf2)
+    return _lifted([("Gf", Gf, g, f), ("Gf2", Gf2, g2, f2)], products, gt, target, "product")
 
 
 def branch_chain_bound(B: Slalom, depth: int) -> int:

@@ -2,7 +2,9 @@
 
 All encoders produce plain dicts/lists (json-ready); decoders re-validate by
 going through the public constructors, so a hand-edited file that breaks an
-invariant fails loudly rather than round-tripping.
+invariant fails loudly rather than round-tripping.  The command line reads
+every file through read(): a file that is not JSON, or lacks a key, or has
+a value of the wrong type, raises BadInput.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 
 from .conditions import NormedTree, ProductCondition
+from .errors import BadInput
 from .extraction import FiniteName
 from .reductions import TransferSystem
 from .scales import BoundFn, ScaleSeq, Triple, validate_scale, validate_triple
@@ -101,6 +104,16 @@ def name_from_dict(d: dict, host: ProductCondition) -> FiniteName:
 def load(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+def read(path: str, decode, *args):
+    """decode(load(path), *args); BadInput when the file's JSON is broken or
+    has the wrong shape.  An invariant a decoded value breaks still raises
+    the constructor's own error."""
+    try:
+        return decode(load(path), *args)
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as e:
+        raise BadInput(f"{path}: {type(e).__name__}: {e}") from None
 
 
 def dump(obj, path: str):

@@ -11,6 +11,7 @@ import math
 import pytest
 
 from slalomcover.conditions import NormedTree, ProductCondition, level, linear_tree
+from slalomcover.errors import GuardExceeded, ValidationFailure
 from slalomcover.extraction import FiniteName
 from slalomcover.norms import NormSpec, norm_value
 from slalomcover.scales import BoundFn, validate_scale, validate_triple
@@ -108,6 +109,104 @@ def condition_c_oracle(T):
             )
             if count > T.gp(i):
                 return False, (i, u)
+    return True, None
+
+
+# The transfers of reductions, straight off their definitions on plain level
+# sets: each family is a list of per-level frozenset tuples.
+
+def naive_pushforward(T, family_sets):
+    """B*_i = {n < f'(i) : H[i][l](n) in B_l for all l in w_i}, {0} if empty."""
+    return [tuple(frozenset(n for n in range(T.fp(i))
+                            if all(T.maps[i][j][n] in B[l] for j, l in enumerate(w)))
+                  or frozenset({0})
+                  for i, w in enumerate(T.blocks))
+            for B in family_sets]
+
+
+def naive_halving(f_values, g_values, family_sets):
+    """Value i at level k becomes the block [i*s, (i+1)*s), s = f(k)//g(k)."""
+    sizes = [fv // gv for fv, gv in zip(f_values, g_values)]
+    return [tuple(frozenset(v for i in C[k] for v in range(i * s, (i + 1) * s))
+                  for k, s in enumerate(sizes))
+            for C in family_sets]
+
+
+def naive_addition(f_values, g_values, family_sets):
+    """Value i < f(k)-g(k) becomes {2i, 2i+1}; a larger i becomes {i + f(k)-g(k)}."""
+    def block(i, pairs):
+        return {2 * i, 2 * i + 1} if i < pairs else {i + pairs}
+    return [tuple(frozenset(v for i in C[k] for v in block(i, fv - gv))
+                  for k, (fv, gv) in enumerate(zip(f_values, g_values)))
+            for C in family_sets]
+
+
+def naive_compose(G_sets, H_sets, f_values, g_values):
+    """Pad each B to min(g, f) values with the least absent ones, then let
+    each D pick positions in B's increasing enumeration (the least value of
+    B where D picks none)."""
+    out = []
+    for B in G_sets:
+        enums = []
+        for k, s in enumerate(B):
+            padded = set(s)
+            for v in range(f_values[k]):
+                if len(padded) < min(g_values[k], f_values[k]):
+                    padded.add(v)
+            enums.append(sorted(padded))
+        for D in H_sets:
+            out.append(tuple(frozenset(e[j] for j in D[k] if j < len(e)) or frozenset({e[0]})
+                             for k, e in enumerate(enums)))
+    return out
+
+
+def naive_product(Gf_sets, Gf2_sets, f2_values):
+    """Every pair (B, D) gives {a*f2(k) + b : a in B_k, b in D_k} per level."""
+    return [tuple(frozenset(a * f2 + b for a in B[k] for b in D[k])
+                  for k, f2 in enumerate(f2_values))
+            for B in Gf_sets for D in Gf2_sets]
+
+
+# Test-only norm helpers: a log norm and a labeled-set completeness oracle.
+
+def natural_norm(c: int, d: int):
+    """The log_{c/d} cardinality norm: largest m with (c/d)^m <= size."""
+    def norm(size: int) -> int:
+        if size < 1:
+            raise ValidationFailure([("size", f"{size} < 1")])
+        m = 0
+        # (c/d)^(m+1) <= size, kept in integers: c^(m+1) <= size * d^(m+1)
+        while c ** (m + 1) <= size * d ** (m + 1):
+            m += 1
+        return m
+    return norm
+
+
+def cd_complete_check_sets(norm_of_set, X: frozenset, c: int, d: int):
+    """Slow labeled-set oracle for (c,d)-completeness on an explicit ground set.
+
+    norm_of_set maps a nonempty frozenset to an integer.  Enumerates every
+    nonempty a <= X and every assignment of a's elements into c labeled
+    pieces, and asks for *some* d pieces whose union keeps the norm up.
+    Cross-validation only; X must be tiny.
+    """
+    if len(X) > 6:
+        raise GuardExceeded(len(X), 6, "cd_complete_check_sets")
+    elems = sorted(X)
+    for r in range(1, len(elems) + 1):
+        for a in itertools.combinations(elems, r):
+            target = norm_of_set(frozenset(a)) - 1
+            for assign in itertools.product(range(c), repeat=r):
+                pieces = [frozenset(x for x, p in zip(a, assign) if p == i)
+                          for i in range(c)]
+                ok = any(
+                    norm_of_set(frozenset().union(*(pieces[i] for i in combo)))
+                    >= target
+                    for combo in itertools.combinations(range(c), d)
+                    if any(pieces[i] for i in combo)
+                )
+                if not ok:
+                    return False, (frozenset(a), tuple(pieces))
     return True, None
 
 

@@ -169,3 +169,45 @@ def test_covernum_bounds_obey_the_guard():
     assert code == 1
     (line,) = parse_lines(out)
     assert line["error"] == "guard exceeded"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "3", "demo"],
+    ["game", "replay", "--in", "cond.json"],
+    ["game", "play", "--in", "cond.json", "--accountant", "bookkeeping"],
+    ["game", "play", "--in", "cond.json", "--spendthrift", "thinning"],
+], ids=["global-seed", "game-action", "game-accountant", "game-spendthrift"])
+def test_removed_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+
+
+def test_reduce_without_system_or_lift_exits_two(capsys):
+    assert main(["reduce"]) == 2
+    (line,) = parse_lines(capsys.readouterr().out)
+    assert line["error"] == "bad input"
+
+
+HOSTILE_FILES = {
+    "truncated": '{"coords": {"a": ',
+    "missing-key": '{"depth": 2}',
+    "wrong-type": "[1, 2]",
+}
+
+
+@pytest.mark.parametrize("content", HOSTILE_FILES.values(), ids=HOSTILE_FILES.keys())
+def test_hostile_input_file_is_one_json_error_line(tmp_path, capsys, split_condition,
+                                                    content):
+    bad, good = str(tmp_path / "bad.json"), str(tmp_path / "cond.json")
+    with open(bad, "w") as fh:
+        fh.write(content)
+    serde.dump(serde.condition_to_dict(split_condition), good)
+    for argv in (["condition", "validate", "--in", bad],
+                 ["game", "play", "--in", bad],
+                 ["extract", "--condition", bad, "--name", bad, "--xi", bad],
+                 ["extract", "--condition", good, "--name", bad, "--xi", bad],
+                 ["reduce", "--lift", "halving", "--in", bad, "--f", "3", "--g", "2"]):
+        assert main(argv) == 2, argv
+        (line,) = parse_lines(capsys.readouterr().out)
+        assert line["error"] == "bad input"

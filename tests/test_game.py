@@ -1,7 +1,7 @@
 import pytest
 
-from slalomcover.conditions import (is_normal_form, leq, splitting_levels,
-                                    validate_condition)
+from slalomcover.conditions import (NormedTree, is_normal_form, leq,
+                                    splitting_levels, validate_condition)
 from slalomcover.errors import ValidationFailure
 from slalomcover.game import (AccountantMove, GameState, SpendthriftMove,
                               accountant_bookkeeping, accountant_legal, legal,
@@ -91,6 +91,20 @@ def test_thinning_spendthrift_respects_prescribed_sets(game_condition):
     assert fused_succ <= {(0, j) for j in range(343)}
     ok, viol = validate_condition(t.fused)
     assert ok, viol
+
+
+def test_thinning_spendthrift_prunes_splits_below_nu_inside_F(game_condition, game_triple):
+    # b splits at its root, below the level of the chosen nu = (0,) on a, so
+    # the spendthrift prunes that split to one successor: the least inside F
+    b = NormedTree(2, game_triple, frozenset({()} | {(v,) for v in range(3)}
+                                             | {(v, 0) for v in range(3)}))
+    p = game_condition.replace("b", b)
+    state = GameState(p, 0, 1)
+    acc = accountant_bookkeeping(state)
+    for F, kept in ((None, (0,)), ({("b", ()): [(2,), (1,)]}, (1,))):
+        move = make_thinning_spendthrift(F)(state, acc)
+        assert move.nu == (0,)
+        assert move.condition["b"].succ(()) == [kept]
 
 
 def test_thinning_direct_sweep_satisfies_star(game_condition):

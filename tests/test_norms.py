@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slalomcover.errors import GuardExceeded, ValidationFailure
-from slalomcover.norms import (NormSpec, cd_complete_check,
-                               cd_complete_check_sets, cd_select,
-                               natural_norm, norm_value)
+from slalomcover.norms import NormSpec, cd_complete_check, cd_select, norm_value
+
+from conftest import cd_complete_check_sets, natural_norm
 
 
 def test_norm_value_frozen_table():

@@ -5,7 +5,7 @@ import pytest
 
 from slalomcover.covernum import cover_number_bounds
 from slalomcover.errors import GuardExceeded, ValidationFailure
-from slalomcover.reductions import (TransferSystem, addition_lift,
+from slalomcover.reductions import (TransferSystem, _lifted, addition_lift,
                                     allfunctions_system, block_coding_system,
                                     branch_chain_bound, branch_pushforward,
                                     check_condition_c, family_pushforward,
@@ -15,7 +15,13 @@ from slalomcover.reductions import (TransferSystem, addition_lift,
 from slalomcover.scales import BoundFn
 from slalomcover.slaloms import Branch, Slalom, SlalomFamily, covers
 
-from conftest import condition_c_oracle
+from conftest import (condition_c_oracle, naive_addition, naive_compose,
+                      naive_covers, naive_halving, naive_product,
+                      naive_pushforward)
+
+
+def level_sets(F):
+    return [B.sets for B in F]
 
 
 def tiny_system():
@@ -102,6 +108,7 @@ def test_pushforward_preserves_covering_on_random_good_systems():
         ok, _ = covers(pushed, T.gp, T.fp)
         assert ok
         assert len(pushed) == len(grid)
+        assert level_sets(pushed) == naive_pushforward(T, level_sets(grid))
 
 
 def test_branch_pushforward_lands_inside_pushed_slalom():
@@ -177,6 +184,7 @@ def test_halving_lift_bounds_and_coverage():
         G = _grid(f, g)
         lifted = halving_lift(f, g, G)  # verifies coverage internally
         assert len(lifted) <= len(G)
+        assert level_sets(lifted) == naive_halving(f_vals, g_vals, level_sets(G))
 
 
 def test_addition_lift_bounds_and_coverage():
@@ -190,6 +198,7 @@ def test_addition_lift_bounds_and_coverage():
         assert len(lifted) <= len(_grid(f, g))
         assert lifted.slaloms[0].cap.values == tuple(
             2 * fv - gv for fv, gv in zip(f_vals, g_vals))
+        assert level_sets(lifted) == naive_addition(f_vals, g_vals, level_sets(_grid(f, g)))
 
 
 def test_transitivity_compose_bounds_and_coverage():
@@ -203,6 +212,8 @@ def test_transitivity_compose_bounds_and_coverage():
         G, H = _grid(f, g), _grid(g, h)
         composed = transitivity_compose(G, H, f, g, h)
         assert len(composed) <= len(G) * len(H)
+        assert level_sets(composed) == naive_compose(level_sets(G), level_sets(H),
+                                                     f_vals, g_vals)
 
 
 def test_product_pair_bounds_and_coverage():
@@ -217,6 +228,45 @@ def test_product_pair_bounds_and_coverage():
         f2, g2 = BoundFn(f2_vals), BoundFn(g2_vals)
         fam = product_pair(_grid(f, g), _grid(f2, g2), f, g, f2, g2)
         assert len(fam) <= len(_grid(f, g)) * len(_grid(f2, g2))
+        assert level_sets(fam) == naive_product(level_sets(_grid(f, g)),
+                                                level_sets(_grid(f2, g2)), f2_vals)
+
+
+@pytest.mark.parametrize("transfer", ["pushforward", "halving", "addition", "compose-G",
+                                      "compose-H", "product-Gf", "product-Gf2"])
+def test_transfer_rejects_an_input_that_does_not_cover(transfer):
+    f, g, h = BoundFn((3, 3)), BoundFn((2, 2)), BoundFn((1, 1))
+    T = tiny_system()
+    P, G, H = _grid(T.f, T.g), _grid(f, g), _grid(g, h)
+    # each grid without its last member leaves a gap
+    bad_P, bad_G, bad_H = (SlalomFamily(F.slaloms[:-1]) for F in (P, G, H))
+    label, bad, bad_f, run = {
+        "pushforward": ("input", bad_P, T.f, lambda: family_pushforward(T, bad_P)),
+        "halving": ("input", bad_G, f, lambda: halving_lift(f, g, bad_G)),
+        "addition": ("input", bad_G, f, lambda: addition_lift(f, g, bad_G)),
+        "compose-G": ("G", bad_G, f, lambda: transitivity_compose(bad_G, H, f, g, h)),
+        "compose-H": ("H", bad_H, g, lambda: transitivity_compose(G, bad_H, f, g, h)),
+        "product-Gf": ("Gf", bad_G, f, lambda: product_pair(bad_G, G, f, g, f, g)),
+        "product-Gf2": ("Gf2", bad_G, f, lambda: product_pair(G, bad_G, f, g, f, g)),
+    }[transfer]
+    with pytest.raises(ValidationFailure) as e:
+        run()
+    gap = naive_covers(level_sets(bad), bad_f.values)
+    assert gap is not None
+    assert e.value.violations == [(label, f"family does not cover, witness {gap}")]
+
+
+def test_lift_checks_its_inputs_before_building_and_its_output_after():
+    f, g = BoundFn((2, 2)), BoundFn((1, 1))
+
+    def unbuildable():
+        raise AssertionError("output built before the inputs were checked")
+        yield
+
+    with pytest.raises(ValidationFailure):
+        _lifted([("input", SlalomFamily(()), g, f)], unbuildable(), g, f, "probe")
+    with pytest.raises(AssertionError, match=r"probe lost coverage at \(0, 0\)"):
+        _lifted([], iter(()), g, f, "probe")
 
 
 def test_branch_chain_bound_counts_chains():
