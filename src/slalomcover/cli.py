@@ -285,6 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="slalomcover")
     ap.add_argument("--guard", type=int, default=BRUTE_GUARD,
                     help="brute-force size guard")
+    # the same option after the subcommand; SUPPRESS keeps the global value
+    # when it is not given there
+    guarded = argparse.ArgumentParser(add_help=False)
+    guarded.add_argument("--guard", type=int, default=argparse.SUPPRESS,
+                         help="brute-force size guard")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("scale")
@@ -302,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h")
     sp.set_defaults(fn=cmd_triple)
 
-    sp = sub.add_parser("covernum")
+    sp = sub.add_parser("covernum", parents=[guarded])
     sp.add_argument("--f", required=True)
     sp.add_argument("--g", required=True)
     mode = sp.add_mutually_exclusive_group()
@@ -311,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--greedy", dest="mode", action="store_const", const="greedy")
     sp.set_defaults(fn=cmd_covernum, mode="bounds")
 
-    sp = sub.add_parser("reduce")
+    sp = sub.add_parser("reduce", parents=[guarded])
     sp.add_argument("--system", choices=["block", "allfn"])
     sp.add_argument("--lift", choices=["halving", "addition", "compose", "product"])
     sp.add_argument("--check-c", dest="check_c", action="store_true")
@@ -368,8 +373,11 @@ def main(argv=None) -> int:
     except SlalomError as e:
         _emit({"error": type(e).__name__, "detail": str(e)})
         return 1
-    except FileNotFoundError as e:
-        _emit({"error": "missing input file", "detail": str(e)})
+    except OSError as e:
+        # a directory, an unreadable file, or no file at all
+        what = ("missing input file" if isinstance(e, FileNotFoundError)
+                else "unreadable input file")
+        _emit({"error": what, "detail": str(e)})
         return 2
     except BadInput as e:
         _emit({"error": "bad input", "detail": str(e)})

@@ -5,7 +5,7 @@ sets of size g(k) cover the whole product space below f.  Instances are
 guarded and witnesses are deterministic.  Both searches work on bitsets:
 branch b is bit rank(b) in lexicographic order, and each candidate slalom
 is the int of the branches it holds.  The exact search is an
-iterative-deepening DFS from the counting lower bound that remembers, for
+iterative-deepening DFS from the fiber lower bound that remembers, for
 each uncovered set it failed on, the most slots it failed with.
 """
 
@@ -48,6 +48,28 @@ def cover_number_bounds(f: BoundFn, g: BoundFn, guard: int = BRUTE_GUARD):
     return lower, len(family), family
 
 
+def _fiber_bound(f: BoundFn, g: BoundFn) -> int:
+    """A lower bound on the covering number, at least the counting bound.
+
+    L(empty) = 1 and L(P) = max over k in P of ceil(f(k) * L(P - k) / g(k)),
+    over the levels P with g(k) < f(k); the others constrain nothing.  In
+    a cover of size m, the members holding a value x at level k cover the
+    product of the other levels, so each of the f(k) values lies in at
+    least L(P - k) members, and each member holds at most g(k) of them:
+    m * g(k) >= f(k) * L(P - k).  Memoised over sorted (f(k), g(k)) tuples,
+    so repeated level types collapse.
+    """
+    memo = {(): 1}
+
+    def bound(pairs):
+        if pairs not in memo:
+            memo[pairs] = max(-(-fk * bound(pairs[:i] + pairs[i + 1:]) // gk)
+                              for i, (fk, gk) in enumerate(pairs))
+        return memo[pairs]
+
+    return bound(tuple(sorted((f(k), g(k)) for k in range(f.window) if g(k) < f(k))))
+
+
 def _candidate_sets(fk: int, gk: int):
     """All gk-subsets of [0, fk) as sorted tuples, lexicographic."""
     size = min(gk, fk)
@@ -87,14 +109,15 @@ def _family(f: BoundFn, g: BoundFn, chosen) -> SlalomFamily:
 def cover_number_exact(f: BoundFn, g: BoundFn, budget: int = 64, guard: int = BRUTE_GUARD):
     """Least family size covering the product below f, with a witness family.
 
-    Iterative deepening over the family size, starting at the counting
-    bound.  Candidate slaloms have exact-cardinality level sets (padding
-    makes that lossless).  Each node covers the least uncovered branch
+    Iterative deepening over the family size, starting at the fiber bound
+    of _fiber_bound.  Candidate slaloms have exact-cardinality level sets
+    (padding makes that lossless).  Each node covers the least uncovered branch
     with every candidate holding it, in lexicographic candidate order, so
     the family returned is the first one in that order.  failed[u] = s
     records that u cannot be covered with s slaloms, hence not with fewer;
-    it only skips searches that would fail, so it never changes the
-    family found, and it is kept across the rounds.  Raises GuardExceeded
+    it only skips searches that would fail, so neither it nor the round
+    the deepening starts at changes the family found, and it is kept
+    across the rounds.  Raises GuardExceeded
     when the candidate space is too large, and returns None if the budget
     is exhausted first.
     """
@@ -104,8 +127,7 @@ def cover_number_exact(f: BoundFn, g: BoundFn, budget: int = 64, guard: int = BR
     if all(f(k) <= g(k) for k in range(f.window)):
         return 1, cover_number_bounds(f, g)[2]
     # no grid is built, and its guard holds: space >= prod ceil(f/g)
-    lower, sides = _counting_and_sides(f, g)
-    upper = math.prod(sides)
+    upper = math.prod(_counting_and_sides(f, g)[1])
     cands, masks = _candidate_masks(f, g)
     max_cover = math.prod(min(g(k), f(k)) for k in range(f.window))
     by_pivot = {}
@@ -134,7 +156,7 @@ def cover_number_exact(f: BoundFn, g: BoundFn, budget: int = 64, guard: int = BR
         return None
 
     everything = (1 << math.prod(f.values)) - 1
-    for m in range(lower, min(upper, budget) + 1):
+    for m in range(_fiber_bound(f, g), min(upper, budget) + 1):
         found = dfs(everything, [], m)
         if found is not None:
             return m, _family(f, g, [cands[i] for i in found])

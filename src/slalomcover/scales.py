@@ -226,8 +226,12 @@ def gen_blass_family(scale: ScaleSeq, tree_path, inner_log_base: float = 2) -> T
 
 
 def square_pair_levels(scale: ScaleSeq) -> list:
-    """floor(log2(hi_k / lo_k) / 6) per level."""
-    return [math.floor(math.log2(scale.hi[k] / scale.lo[k]) / 6)
+    """floor(log2(hi_k / lo_k) / 6) per level, in exact integers.
+
+    For hi >= lo, floor(log2(hi / lo)) is the bit length of hi // lo, less
+    one, so no float ever holds the ratio.
+    """
+    return [((scale.hi[k] // scale.lo[k]).bit_length() - 1) // 6
             for k in range(scale.window)]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import le
 
 from .errors import ValidationFailure, WindowMismatch
 from .scales import BoundFn
@@ -26,7 +27,7 @@ class Slalom:
     sets: tuple  # tuple of frozensets
 
     def __post_init__(self):
-        sets = tuple(frozenset(int(v) for v in s) for s in self.sets)
+        sets = tuple(frozenset(map(int, s)) for s in self.sets)
         object.__setattr__(self, "sets", sets)
         if len(sets) != self.cap.window:
             raise WindowMismatch(f"{len(sets)} sets on a window of {self.cap.window}")
@@ -119,9 +120,13 @@ def covers(F: SlalomFamily, g_bound: BoundFn, f: BoundFn):
     lexicographically least uncovered branch.  Members violating the
     size bound g_bound are rejected up front with their index.
     """
+    if g_bound.window < f.window:
+        raise WindowMismatch(f"size bound has {g_bound.window} levels, cap has {f.window}")
     for i, B in enumerate(F):
         if B.cap.values != f.values:
             raise WindowMismatch(f"slalom {i} has cap {B.cap.values}, expected {f.values}")
+        if all(map(le, map(len, B.sets), g_bound.values)):
+            continue
         for k, s in enumerate(B.sets):
             if len(s) > g_bound(k):
                 raise ValidationFailure([(f"slalom {i}, k={k}",

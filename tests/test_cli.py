@@ -74,6 +74,16 @@ def test_missing_input_file_exits_two():
     assert code == 2
 
 
+def test_directory_as_input_file_is_one_json_error_line(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "slalomcover.cli", "condition",
+                           "validate", "--in", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    (line,) = parse_lines(proc.stdout)
+    assert line["error"] == "unreadable input file"
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("action", ["validate", "normalize", "show-levels"])
 def test_condition_without_trees_is_rejected(tmp_path, action):
     cond_path = tmp_path / "empty.json"
@@ -169,6 +179,27 @@ def test_covernum_bounds_obey_the_guard():
     assert code == 1
     (line,) = parse_lines(out)
     assert line["error"] == "guard exceeded"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--guard", "5", "covernum", "--f", "3,3", "--g", "2,2", "--exact"],
+    ["covernum", "--f", "3,3", "--g", "2,2", "--exact", "--guard", "5"],
+    ["--guard", "1", "reduce", "--system", "allfn", "--check-c"],
+    ["reduce", "--system", "allfn", "--check-c", "--guard", "1"],
+], ids=["covernum-before", "covernum-after", "reduce-before", "reduce-after"])
+def test_guard_is_accepted_before_and_after_the_subcommand(capsys, argv):
+    assert main(argv) == 1
+    (line,) = parse_lines(capsys.readouterr().out)
+    assert line["error"] == "guard exceeded"
+
+
+def test_guard_after_the_subcommand_only_when_given(capsys):
+    # the subcommand's copy of --guard must not reset the global value
+    assert main(["--guard", "5", "covernum", "--f", "3,3", "--g", "2,2", "--exact"]) == 1
+    assert main(["covernum", "--f", "3,3", "--g", "2,2", "--exact", "--guard", "9"]) == 0
+    lines = parse_lines(capsys.readouterr().out)
+    assert lines[0]["error"] == "guard exceeded"
+    assert lines[1]["exact"] == 3
 
 
 @pytest.mark.parametrize("argv", [

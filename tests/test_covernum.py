@@ -4,8 +4,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slalomcover.covernum import (cover_number_bounds, cover_number_exact,
-                                  greedy_cover)
+from slalomcover.covernum import (_fiber_bound, cover_number_bounds,
+                                  cover_number_exact, greedy_cover)
 from slalomcover.errors import GuardExceeded
 from slalomcover.scales import BoundFn
 from slalomcover.slaloms import covers
@@ -148,8 +148,9 @@ WINDOW3 = [
     ((4, 5, 5), (2, 1, 1)), ((5, 5, 5), (1, 1, 1)),
 ]
 
-# the list search needs 0.3 s to over 4 minutes on these; their (m, family),
-# as it returns them, frozen
+# the list search needs 0.3 s to over 4 minutes on the window-2 ones; their
+# (m, family), as it returns them, frozen.  The window-3 ones were recorded
+# from the bitset search when it still started at the counting bound.
 FROZEN = {
     ((4, 5), (1, 2)): (12, [
         ((0,), (0, 1)), ((0,), (0, 2)), ((0,), (3, 4)), ((1,), (0, 1)), ((1,), (0, 2)),
@@ -200,7 +201,26 @@ FROZEN = {
         ((0, 1, 2, 3), (0, 1)), ((0, 1, 2, 3), (2, 3)), ((0, 1, 2, 4), (0, 4)),
         ((0, 1, 3, 4), (1, 4)), ((0, 1, 2, 4), (2, 3)),
     ]),
+    ((3, 3, 5), (2, 2, 2)): (8, [
+        ((0, 1), (0, 1), (0, 1)), ((0, 1), (0, 1), (2, 3)), ((0, 1), (0, 2), (0, 4)),
+        ((0, 2), (0, 1), (0, 4)), ((0, 2), (0, 2), (0, 1)), ((0, 2), (0, 2), (2, 3)),
+        ((1, 2), (1, 2), (1, 4)), ((1, 2), (1, 2), (2, 3)),
+    ]),
+    ((4, 4, 5), (2, 2, 3)): (8, [
+        ((0, 1), (0, 1), (0, 1, 2)), ((0, 1), (0, 1), (0, 3, 4)),
+        ((0, 1), (2, 3), (0, 1, 2)), ((0, 1), (2, 3), (0, 3, 4)),
+        ((2, 3), (0, 1), (0, 1, 2)), ((2, 3), (0, 1), (0, 3, 4)),
+        ((2, 3), (2, 3), (0, 1, 2)), ((2, 3), (2, 3), (0, 3, 4)),
+    ]),
 }
+
+
+def assert_bound_brackets(f_vals, g_vals, exact):
+    """counting bound <= fiber bound <= exact value (when one was found)."""
+    f, g = BoundFn(f_vals), BoundFn(g_vals)
+    fiber = _fiber_bound(f, g)
+    assert cover_number_bounds(f, g)[0] <= fiber, (f_vals, g_vals)
+    assert exact is None or fiber <= exact, (f_vals, g_vals)
 
 
 def test_exact_search_matches_the_list_oracle():
@@ -212,12 +232,32 @@ def test_exact_search_matches_the_list_oracle():
         assert m == want_m, (f_vals, g_vals)
         got = None if fam is None else level_sets(fam)
         assert got == want_fam, (f_vals, g_vals)
+        assert_bound_brackets(f_vals, g_vals, want_m)
 
 
 def test_exact_search_matches_the_frozen_oracle_families():
     for (f_vals, g_vals), (want_m, want_fam) in FROZEN.items():
         m, fam = cover_number_exact(BoundFn(f_vals), BoundFn(g_vals))
         assert (m, level_sets(fam)) == (want_m, want_fam), (f_vals, g_vals)
+        assert_bound_brackets(f_vals, g_vals, want_m)
+
+
+@pytest.mark.parametrize("f_vals,g_vals,counting,fiber", [
+    ((5, 5), (2, 2), 7, 8),
+    ((3, 4), (2, 1), 6, 8),
+    # level 1 has f <= g and constrains nothing: the bound is ceil(4/2)
+    ((4, 2), (2, 4), 1, 2),
+])
+def test_fiber_bound_beats_the_counting_bound(f_vals, g_vals, counting, fiber):
+    f, g = BoundFn(f_vals), BoundFn(g_vals)
+    assert cover_number_bounds(f, g)[0] == counting
+    assert _fiber_bound(f, g) == fiber
+
+
+def test_fiber_bound_skips_levels_with_f_at_most_g():
+    # 1200 levels of which one constrains: only that one is recursed into
+    f, g = BoundFn((3,) + (1,) * 1200), BoundFn((2,) * 1201)
+    assert _fiber_bound(f, g) == 2
 
 
 def test_greedy_matches_the_set_oracle():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,28 @@ def test_square_pair_frozen_values():
 def test_square_pair_rejects_small_scale():
     with pytest.raises(ValidationFailure):
         gen_square_pair(T1)
+
+
+def test_square_pair_levels_are_exact_on_huge_scales():
+    # hi / lo as a float overflows here; the schedule is computed in integers
+    s = validate_scale((2, 8, 128), (3, 12, 2 ** 2000))
+    assert square_pair_levels(s) == [0, 0, 1993 // 6]
+    with pytest.raises(ValidationFailure) as ei:
+        gen_square_pair(s)
+    assert [where for where, _ in ei.value.violations] == ["k=0"]
+    base, square = gen_square_pair(validate_scale((2,), (2 ** 2000,)))
+    assert base.f.values == (2 ** 999,) and square.f.values == (2 ** 1998,)
+
+
+def test_square_pair_levels_agree_with_the_float_form():
+    def float_form(s):
+        return [math.floor(math.log2(s.hi[k] / s.lo[k]) / 6) for k in range(s.window)]
+
+    scales = [T1, validate_scale((2,), (2 ** 13,))]
+    scales += [validate_scale((lo,), (hi,)) for lo in range(2, 13)
+               for hi in range(lo, 2 ** 12)]
+    for s in scales:
+        assert square_pair_levels(s) == float_form(s), (s.lo, s.hi)
 
 
 @given(st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=4))

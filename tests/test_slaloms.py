@@ -21,6 +21,14 @@ def test_slalom_rejects_empty_level():
         Slalom(BoundFn((3,)), (frozenset(),))
 
 
+def test_slalom_lists_every_bad_level():
+    with pytest.raises(ValidationFailure) as ei:
+        Slalom(BoundFn((3, 3, 3, 3)), ([0], [], [1, 3], [-1, 2]))
+    assert ei.value.violations == [("k=1", "empty level set"),
+                                   ("k=2", "values outside [0, 3)"),
+                                   ("k=3", "values outside [0, 3)")]
+
+
 def test_member_checks_every_level():
     B = Slalom(BoundFn((3, 3)), (frozenset({0, 1}), frozenset({2})))
     assert member(Branch((1, 2)), B)
@@ -64,6 +72,22 @@ def test_covers_rejects_oversized_member():
     fam = SlalomFamily((Slalom(f, (frozenset({0, 1}),)),))
     with pytest.raises(ValidationFailure):
         covers(fam, BoundFn((1,)), f)
+
+
+def test_covers_names_the_first_oversized_member_and_level():
+    f = BoundFn((3, 3))
+    fam = SlalomFamily((Slalom(f, ([0], [0])), Slalom(f, ([1], [0, 1])),
+                        Slalom(f, ([0, 1], [0, 1]))))
+    with pytest.raises(ValidationFailure) as ei:
+        covers(fam, BoundFn((2, 1)), f)
+    assert ei.value.violations == [("slalom 1, k=1", "|B_k|=2 > g(k)=1")]
+
+
+def test_covers_needs_a_size_bound_for_every_level():
+    f = BoundFn((3, 3))
+    fam = SlalomFamily((Slalom(f, ([0, 1], [0, 1])),))
+    with pytest.raises(WindowMismatch):
+        covers(fam, BoundFn((2,)), f)
 
 
 @settings(max_examples=150, deadline=None)
